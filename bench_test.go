@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	pramsim "repro"
@@ -133,52 +132,19 @@ func BenchmarkE5MOT2DStep(b *testing.B) {
 	}
 }
 
-// E5 at production sizes with the router-parallelism sweep: the same
-// machine stepped with the serial reference router (par=1) and the
-// multi-core router at increasing worker counts. Routing is bit-for-bit
-// identical at every setting (the differential tests enforce it), so the
-// sweep isolates wall-clock scaling. K=1.5 keeps the memory map light and
-// δ pins the grid side at 16384, the 32-bit dense-edge ceiling.
-func BenchmarkE5MOT2DStepParallel(b *testing.B) {
+// BenchmarkE5MOT2DStepSerial is E5 at production sizes: the n=1024 and
+// n=4096 steps on the 16384-side grid (the 32-bit dense-edge ceiling).
+// K=1.5 keeps the memory map light and δ pins the side. Both points must
+// hold the zero-alloc steady state.
+func BenchmarkE5MOT2DStepSerial(b *testing.B) {
 	cfgs := []struct {
 		n     int
 		delta float64
 	}{{1024, 1.8}, {4096, 1.333}}
-	sweep := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		sweep = append(sweep, p)
-	}
 	for _, c := range cfgs {
 		mt := core.NewMOT2D(c.n, core.MOTConfig{K: 1.5, Delta: c.delta})
 		batch := permBatch(c.n, 5)
-		for _, par := range sweep {
-			b.Run(fmt.Sprintf("n=%d/par=%d", c.n, par), func(b *testing.B) {
-				mt.SetParallelism(par)
-				b.ReportAllocs() // steady state must stay at 0 allocs/op
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep := mt.ExecuteStep(batch)
-					if rep.Err != nil {
-						b.Fatal(rep.Err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE5MOT2DStepSoA names the SoA router's production acceptance
-// point for the CI bench smoke: the n=1024 step on the 16384-side grid
-// (the 32-bit dense-edge ceiling), once through the serial cycle loop and
-// once through the component-sharded worker pool. The pair is the unit the
-// perf lane tracks — serial is the bit-for-bit reference, parallel the
-// wall-clock contender — and both must hold the zero-alloc steady state.
-func BenchmarkE5MOT2DStepSoA(b *testing.B) {
-	mt := core.NewMOT2D(1024, core.MOTConfig{K: 1.5, Delta: 1.8})
-	batch := permBatch(1024, 5)
-	for _, par := range []int{1, 2} {
-		b.Run(fmt.Sprintf("n=1024/par=%d", par), func(b *testing.B) {
-			mt.SetParallelism(par)
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
 			b.ReportAllocs() // steady state must stay at 0 allocs/op
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

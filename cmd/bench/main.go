@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out DIR] [-benchtime 1s] [-parallel N] [-diff]
+//	go run ./cmd/bench [-out DIR] [-benchtime 1s] [-diff]
 //	                   [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
@@ -68,11 +68,11 @@ type Result struct {
 // while allocation regressions stay hard failures — allocs/op is
 // host-independent.
 type Snapshot struct {
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"goVersion"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"numCPU"`
-	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Date       string `json:"date"`
+	GoVersion  string `json:"goVersion"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	// Calibration is the minimum ns/op of a fixed pure-CPU reference loop
 	// (calibrate), measured alongside the benchmarks. Core counts don't
 	// capture how FAST a container is — the same image lands on hosts
@@ -239,7 +239,6 @@ func main() {
 	benchtime := flag.Duration("benchtime", time.Second, "target duration per benchmark")
 	diff := flag.Bool("diff", false, "compare the newest two snapshots in -out and exit 1 on zero-alloc regressions")
 	threshold := flag.Float64("threshold", 0.10, "ns/op regression tolerance for -diff (0.10 = 10%)")
-	parallel := flag.Int("parallel", -1, "router workers for the parallel E5 comparison runs (-1 = GOMAXPROCS)")
 	runs := flag.Int("runs", benchRuns, "repeats per benchmark; the minimum is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole benchmark run to FILE")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to FILE after the run")
@@ -313,25 +312,15 @@ func main() {
 		snap.Results = append(snap.Results,
 			measure(fmt.Sprintf("E5MOT2DStep/n=%d", n), mt, permBatch(n, 5)))
 	}
-	// Serial-vs-parallel router comparison at production sizes: the SAME
-	// machine measured with the serial reference router and again with the
-	// multi-core router (bit-for-bit identical simulation, wall clock
-	// only). n=1024 rides K=1.5/δ=1.8 so the 16384-side grid stays inside
-	// the 32-bit dense edge index range.
+	// E5 at production sizes. n=1024 rides K=1.5/δ=1.8 so the 16384-side
+	// grid stays inside the 32-bit dense edge index range.
 	for _, n := range []int{256, 1024} {
 		cfg := core.MOTConfig{}
 		if n >= 1024 {
 			cfg = core.MOTConfig{K: 1.5, Delta: 1.8}
 		}
-		mt := core.NewMOT2D(n, cfg)
-		batch := permBatch(n, 5)
-		mt.SetParallelism(1)
-		serial := measure(fmt.Sprintf("E5MOT2DStepSerial/n=%d", n), mt, batch)
-		mt.SetParallelism(*parallel)
-		par := measure(fmt.Sprintf("E5MOT2DStepParallel/n=%d", n), mt, batch)
-		snap.Results = append(snap.Results, serial, par)
-		fmt.Printf("E5 n=%d parallel speedup: %.2fx (%d workers)\n",
-			n, serial.NsPerOp/par.NsPerOp, mt.Net.Parallelism())
+		snap.Results = append(snap.Results,
+			measure(fmt.Sprintf("E5MOT2DStepSerial/n=%d", n), core.NewMOT2D(n, cfg), permBatch(n, 5)))
 	}
 	for _, n := range []int{16, 64} {
 		lu := core.NewLuccio(n, core.MOTConfig{})
@@ -350,7 +339,7 @@ func main() {
 		const nTotal = 1024
 		var speedup [2]float64
 		for _, K := range []int{1, 2, 4, 8} {
-			dp := core.NewDMMPCPool(nTotal/K, core.Config{Engines: K, Workers: *parallel})
+			dp := core.NewDMMPCPool(nTotal/K, core.Config{Engines: K})
 			batches := poolBandBatches(dp, 5)
 			res := measurePool(fmt.Sprintf("E12PoolStep/n=%d/K=%d", nTotal, K), dp, batches)
 			snap.Results = append(snap.Results, res)
@@ -579,10 +568,6 @@ func main() {
 			attempts[i] = quorum.Attempt{Proc: i, Module: (i * 37) % 1024, Var: i, Copy: 0}
 		}
 		snap.Results = append(snap.Results, measureMicro("MOTNetworkPhase/side=1024", func() {
-			nw.RoutePhase(attempts)
-		}))
-		nw.SetParallelism(*parallel)
-		snap.Results = append(snap.Results, measureMicro("MOTNetworkPhaseParallel/side=1024", func() {
 			nw.RoutePhase(attempts)
 		}))
 	}

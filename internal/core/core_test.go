@@ -8,6 +8,7 @@ import (
 	"repro/internal/ideal"
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/quorum"
 	"repro/internal/workloads"
 )
 
@@ -126,41 +127,63 @@ func TestBackendEquivalenceDMMPC(t *testing.T) {
 	}
 }
 
-// TestBackendEquivalenceMOT2D: same equivalence for the mesh-of-trees
-// machine.
-func TestBackendEquivalenceMOT2D(t *testing.T) {
-	f := func(seed int64) bool {
-		const n, rounds = 8, 4
-		mt := NewMOT2D(n, MOTConfig{Mode: model.CRCWPriority, Seed: seed})
-		id := ideal.New(n, mt.MemSize(), model.CRCWPriority)
-		rng := rand.New(rand.NewSource(seed))
-		for r := 0; r < rounds; r++ {
-			batch := model.NewBatch(n)
-			for i := 0; i < n; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: rng.Intn(32)}
-				case 1:
-					batch[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: rng.Intn(32), Value: model.Word(rng.Intn(1000))}
-				}
-			}
-			mr := mt.ExecuteStep(batch)
-			ir := id.ExecuteStep(batch)
-			for p, v := range ir.Values {
-				if mr.Values[p] != v {
-					return false
-				}
-			}
-		}
-		for a := 0; a < 32; a++ {
-			if mt.ReadCell(a) != id.ReadCell(a) {
-				return false
-			}
-		}
-		return true
+// TestMOT2DMatchesIdeal is the mesh-of-trees machine's independent
+// oracle: random CRCW-Priority step streams over a small hot address range
+// (maximizing conflicts and retries) must return every value the ideal
+// P-RAM returns, step by step, and leave the same memory image — plain,
+// dual-rail, two-stage and dual-rail + two-stage. The two-stage rows cap
+// stage 1 at two phases so that stragglers really drain through stage 2;
+// at this size the default budget finishes every step in stage 1.
+func TestMOT2DMatchesIdeal(t *testing.T) {
+	cases := []struct {
+		name     string
+		dualRail bool
+		stage1   int // stage 1 phase cap of the two-stage schedule; 0 = plain loop
+	}{
+		{"plain", false, 0},
+		{"dualrail", true, 0},
+		{"twostage", false, 2},
+		{"dualrail-twostage", true, 2},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
+	const n, steps = 16, 6
+	const cells = 2 * n
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 6; seed++ {
+				mt := NewMOT2D(n, MOTConfig{Mode: model.CRCWPriority, Seed: seed, DualRail: c.dualRail})
+				if c.stage1 > 0 {
+					mt.SetTwoStage(&quorum.TwoStageConfig{Stage1Phases: c.stage1})
+				}
+				id := ideal.New(n, mt.MemSize(), model.CRCWPriority)
+				rng := rand.New(rand.NewSource(seed))
+				for s := 0; s < steps; s++ {
+					batch := model.NewBatch(n)
+					for i := 0; i < n; i++ {
+						switch rng.Intn(3) {
+						case 0:
+							batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: rng.Intn(cells)}
+						case 1:
+							batch[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: rng.Intn(cells), Value: model.Word(rng.Intn(1000))}
+						}
+					}
+					mr := mt.ExecuteStep(batch)
+					if mr.Err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, s, mr.Err)
+					}
+					ir := id.ExecuteStep(batch)
+					for p, v := range ir.Values {
+						if mr.Values[p] != v {
+							t.Fatalf("seed %d step %d proc %d: 2DMOT read %d, ideal %d", seed, s, p, mr.Values[p], v)
+						}
+					}
+				}
+				for a := 0; a < mt.MemSize(); a++ {
+					if got, want := mt.ReadCell(a), id.ReadCell(a); got != want {
+						t.Fatalf("seed %d cell %d: 2DMOT %d, ideal %d", seed, a, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

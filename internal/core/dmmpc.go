@@ -44,18 +44,12 @@ type Config struct {
 	// TwoStage selects the faithful UW'87 two-stage schedule (bounded
 	// stage 1, pipelined stage 2) instead of the plain round-robin loop.
 	TwoStage bool
-	// Parallelism is the interconnect routing worker count, forwarded via
-	// quorum.ParallelismSetter. The DMMPC's ideal complete bipartite graph
-	// routes a phase in one pass and ignores the knob; it exists here so
-	// machine configs stay drop-in interchangeable with MOTConfig.
-	Parallelism int
 	// Engines is the workload-shard count K of the multi-engine
 	// deployments (NewDMMPCPool): 0 consults PRAMSIM_ENGINES (absent/off
 	// → 1), > 0 uses exactly that many, < 0 uses GOMAXPROCS. Single-
-	// machine constructors ignore it. Where Parallelism spreads one
-	// step's routing across cores, Engines runs K independent simulated
-	// programs' steps concurrently against one sharded memory image —
-	// bit-for-bit identical to serving them one after another.
+	// machine constructors ignore it. Engines runs K independent
+	// simulated programs' steps concurrently against one sharded memory
+	// image — bit-for-bit identical to serving them one after another.
 	Engines int
 	// Workers bounds the pool's executor goroutines (0 → min(Engines,
 	// GOMAXPROCS)); see quorum.PoolConfig.Workers.
@@ -95,9 +89,6 @@ func NewDMMPC(n int, cfg Config) *DMMPC {
 	}
 	if cfg.TwoStage {
 		m.SetTwoStage(&quorum.TwoStageConfig{})
-	}
-	if cfg.Parallelism != 0 {
-		m.SetParallelism(cfg.Parallelism)
 	}
 	return m
 }

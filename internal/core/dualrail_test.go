@@ -1,12 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/ideal"
-	"repro/internal/model"
 	"repro/internal/workloads"
 )
 
@@ -29,42 +25,6 @@ func TestDualRailRedundancyConstantAcrossN(t *testing.T) {
 	r256 := NewMOT2D(256, MOTConfig{DualRail: true}).Redundancy()
 	if r64 != r256 {
 		t.Errorf("dual-rail redundancy varies: %d vs %d", r64, r256)
-	}
-}
-
-func TestDualRailBackendEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		const n, rounds = 8, 4
-		mt := NewMOT2D(n, MOTConfig{Mode: model.CRCWPriority, Seed: seed, DualRail: true})
-		id := ideal.New(n, mt.MemSize(), model.CRCWPriority)
-		rng := rand.New(rand.NewSource(seed))
-		for r := 0; r < rounds; r++ {
-			batch := model.NewBatch(n)
-			for i := 0; i < n; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: rng.Intn(32)}
-				case 1:
-					batch[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: rng.Intn(32), Value: model.Word(rng.Intn(1000))}
-				}
-			}
-			mr := mt.ExecuteStep(batch)
-			ir := id.ExecuteStep(batch)
-			for p, v := range ir.Values {
-				if mr.Values[p] != v {
-					return false
-				}
-			}
-		}
-		for a := 0; a < 32; a++ {
-			if mt.ReadCell(a) != id.ReadCell(a) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
 	}
 }
 

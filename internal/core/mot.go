@@ -33,11 +33,6 @@ type MOTConfig struct {
 	// stage-2 module queues served at O(log n) per phase — the pipelining
 	// Luccio et al. (1990) and Theorem 3 use.
 	TwoStage bool
-	// Parallelism selects the network router's worker count: 0 consults
-	// PRAMSIM_PARALLEL (default serial), 1 forces the serial reference
-	// router, > 1 uses that many workers, < 0 uses GOMAXPROCS. Routing is
-	// bit-for-bit identical at every setting (see repro/internal/mot).
-	Parallelism int
 	// Engines is the workload-shard count K of the multi-engine
 	// deployment (NewMOT2DPool): 0 consults PRAMSIM_ENGINES (absent/off
 	// → 1), > 0 uses exactly that many, < 0 uses GOMAXPROCS. Single-
@@ -87,7 +82,7 @@ func NewMOT2D(n int, cfg MOTConfig) *MOT2D {
 	}
 	mp := memmap.Generate(p, cfg.Seed)
 	nw := mot.NewNetwork(side, mot.ModulesAtLeaves,
-		mot.Config{Policy: cfg.Policy, DualRail: cfg.DualRail, Parallelism: cfg.Parallelism})
+		mot.Config{Policy: cfg.Policy, DualRail: cfg.DualRail})
 	st := quorum.NewStore(mp)
 	name := fmt.Sprintf("2DMOT(n=%d, side=%d, r=%d", n, side, p.R())
 	if cfg.DualRail {
@@ -150,7 +145,7 @@ func NewMOT2DPool(n int, cfg MOTConfig) *MOT2DPool {
 		Pool: quorum.NewPool(name, quorum.NewStore(mp),
 			func(int) quorum.Interconnect {
 				return mot.NewNetwork(side, mot.ModulesAtLeaves,
-					mot.Config{Policy: cfg.Policy, DualRail: cfg.DualRail, Parallelism: cfg.Parallelism})
+					mot.Config{Policy: cfg.Policy, DualRail: cfg.DualRail})
 			},
 			quorum.PoolConfig{Engines: k, Procs: n, Mode: cfg.Mode, Workers: cfg.Workers, TwoStage: ts}),
 		P:    p,
@@ -179,7 +174,7 @@ func NewLuccio(n int, cfg MOTConfig) *Luccio {
 	p := memmap.LemmaOne(n, cfg.K)
 	mp := memmap.Generate(p, cfg.Seed)
 	nw := mot.NewNetwork(side, mot.ModulesAtRoots,
-		mot.Config{Policy: cfg.Policy, Parallelism: cfg.Parallelism})
+		mot.Config{Policy: cfg.Policy})
 	st := quorum.NewStore(mp)
 	name := fmt.Sprintf("2DMOT-Luccio90(n=%d, side=%d, r=%d)", n, side, p.R())
 	m := &Luccio{

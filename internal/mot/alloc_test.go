@@ -1,6 +1,7 @@
 package mot
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // routeAttempts builds a deterministic mixed attempt set like the engine
-// emits: ascending processor ids, scattered banks.
+// emits: ascending processor ids spread over the side roots (several per
+// root once k > side), scattered banks.
 func routeAttempts(side, k int, dualRail bool, seed int64) []quorum.Attempt {
 	rng := rand.New(rand.NewSource(seed))
 	banks := side
@@ -18,7 +20,7 @@ func routeAttempts(side, k int, dualRail bool, seed int64) []quorum.Attempt {
 	attempts := make([]quorum.Attempt, k)
 	for i := range attempts {
 		attempts[i] = quorum.Attempt{
-			Proc:   i,
+			Proc:   i * side / k,
 			Module: rng.Intn(banks),
 			Var:    rng.Intn(4096),
 			Copy:   rng.Intn(4),
@@ -28,69 +30,43 @@ func routeAttempts(side, k int, dualRail bool, seed int64) []quorum.Attempt {
 }
 
 // TestRoutePhaseZeroAllocs locks the router's steady-state zero-allocation
-// invariant across placements, policies and dual rail.
+// invariant across placements, policies, dual rail and module capacities,
+// at phase sizes that leave the work to the singleton fast path (k=8), to
+// both paths (k=64) and to the contended cycle loop (k=256).
 func TestRoutePhaseZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name     string
 		pl       Placement
 		pol      Policy
 		dualRail bool
+		capacity int
 	}{
-		{"leaves-drop", ModulesAtLeaves, DropOnCollision, false},
-		{"leaves-queue", ModulesAtLeaves, QueueOnCollision, false},
-		{"leaves-drop-dual", ModulesAtLeaves, DropOnCollision, true},
-		{"roots-drop", ModulesAtRoots, DropOnCollision, false},
+		{"leaves-drop", ModulesAtLeaves, DropOnCollision, false, 1},
+		{"leaves-queue", ModulesAtLeaves, QueueOnCollision, false, 1},
+		{"leaves-drop-dual", ModulesAtLeaves, DropOnCollision, true, 1},
+		{"leaves-drop-dual-cap3", ModulesAtLeaves, DropOnCollision, true, 3},
+		{"leaves-queue-dual-cap2", ModulesAtLeaves, QueueOnCollision, true, 2},
+		{"roots-drop", ModulesAtRoots, DropOnCollision, false, 1},
+		{"roots-queue-cap2", ModulesAtRoots, QueueOnCollision, false, 2},
 	}
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			nw := NewNetwork(64, c.pl, Config{Policy: c.pol, DualRail: c.dualRail, Parallelism: 1})
-			attempts := routeAttempts(64, 64, c.dualRail, 9)
-			for i := 0; i < 3; i++ { // grow the arenas
-				nw.RoutePhase(attempts)
-			}
-			if avg := testing.AllocsPerRun(20, func() {
-				nw.RoutePhase(attempts)
-			}); avg != 0 {
-				t.Errorf("RoutePhase allocates %.1f/op in steady state, want 0", avg)
-			}
-		})
-	}
-}
-
-// TestRoutePhaseParallelZeroAllocs extends the zero-allocation invariant
-// to the parallel router: once the pool's workers, shards, union-find and
-// component buffers have warmed, a phase performs zero heap allocations
-// across ALL goroutines (AllocsPerRun counts process-wide mallocs).
-func TestRoutePhaseParallelZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation invariants are measured without the race detector")
-	}
-	cases := []struct {
-		name     string
-		pl       Placement
-		pol      Policy
-		dualRail bool
-		workers  int
-	}{
-		{"leaves-drop-w2", ModulesAtLeaves, DropOnCollision, false, 2},
-		{"leaves-queue-w4", ModulesAtLeaves, QueueOnCollision, false, 4},
-		{"leaves-drop-dual-w4", ModulesAtLeaves, DropOnCollision, true, 4},
-		{"roots-drop-w3", ModulesAtRoots, DropOnCollision, false, 3},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			nw := NewNetwork(64, c.pl, Config{Policy: c.pol, DualRail: c.dualRail, Parallelism: c.workers})
-			attempts := routeAttempts(64, 64, c.dualRail, 9)
-			for i := 0; i < 5; i++ { // grow the arenas, warm the pool
-				nw.RoutePhase(attempts)
-			}
-			if avg := testing.AllocsPerRun(20, func() {
-				nw.RoutePhase(attempts)
-			}); avg != 0 {
-				t.Errorf("parallel RoutePhase allocates %.1f/op in steady state, want 0", avg)
+			for _, k := range []int{8, 64, 256} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					nw := NewNetwork(64, c.pl, Config{Policy: c.pol, DualRail: c.dualRail, ModuleCapacity: c.capacity})
+					attempts := routeAttempts(64, k, c.dualRail, 9)
+					for i := 0; i < 3; i++ { // grow the arenas
+						nw.RoutePhase(attempts)
+					}
+					if avg := testing.AllocsPerRun(20, func() {
+						nw.RoutePhase(attempts)
+					}); avg != 0 {
+						t.Errorf("RoutePhase allocates %.1f/op in steady state, want 0", avg)
+					}
+				})
 			}
 		})
 	}

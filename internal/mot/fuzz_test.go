@@ -80,10 +80,10 @@ func TestQueuePolicyAlwaysGrantsAll(t *testing.T) {
 
 // FuzzRoutePhase is the differential harness as a fuzz target: a fuzzed
 // byte string drives topology choice and per-phase attempt streams through
-// the retired AoS reference router (reference_test.go), a serial SoA
-// network and a parallel SoA network, which must stay bit-for-bit
-// identical (grants, cycles, loads, stats) on every input the fuzzer
-// invents. A capacity bump mid-stream exercises SetBandwidth on all three.
+// the retired AoS reference router (reference_test.go) and the SoA
+// network, which must stay bit-for-bit identical (grants, cycles, loads,
+// stats) on every input the fuzzer invents. A capacity bump mid-stream
+// exercises SetBandwidth on both.
 func FuzzRoutePhase(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x03, 0x41, 0x7f, 0x10, 0xee})
 	f.Add(int64(42), uint8(3), []byte{0xff, 0x00, 0xa5, 0x5a})
@@ -101,12 +101,8 @@ func FuzzRoutePhase(f *testing.F) {
 		}
 		dualRail := pl == ModulesAtLeaves && shape&16 != 0
 		cfg := Config{Policy: pol, DualRail: dualRail}
-		serCfg, parCfg := cfg, cfg
-		serCfg.Parallelism = 1
-		parCfg.Parallelism = 2 + int(shape%3)
 		ref := newRefNetwork(side, pl, cfg)
-		ser := NewNetwork(side, pl, serCfg)
-		par := NewNetwork(side, pl, parCfg)
+		ser := NewNetwork(side, pl, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		banks := side
 		if dualRail {
@@ -123,19 +119,16 @@ func FuzzRoutePhase(f *testing.F) {
 			if phases == 2 {
 				ref.SetBandwidth(2)
 				ser.SetBandwidth(2)
-				par.SetBandwidth(2)
 			}
 			phases++
 			gr, cr, lr := ref.RoutePhase(attempts)
 			gs, cs, ls := ser.RoutePhase(attempts)
-			gp, cp, lp := par.RoutePhase(attempts)
-			if cr != cs || lr != ls || cs != cp || ls != lp {
-				t.Fatalf("reference (cycles=%d load=%d) != serial (%d/%d) != parallel (%d/%d)",
-					cr, lr, cs, ls, cp, lp)
+			if cr != cs || lr != ls {
+				t.Fatalf("reference (cycles=%d load=%d) != serial (%d/%d)", cr, lr, cs, ls)
 			}
 			for i := range gs {
-				if gr[i] != gs[i] || gs[i] != gp[i] {
-					t.Fatalf("grant[%d]: reference=%v serial=%v parallel=%v", i, gr[i], gs[i], gp[i])
+				if gr[i] != gs[i] {
+					t.Fatalf("grant[%d]: reference=%v serial=%v", i, gr[i], gs[i])
 				}
 			}
 			attempts = attempts[:0]
@@ -153,9 +146,8 @@ func FuzzRoutePhase(f *testing.F) {
 			}
 		}
 		flush()
-		if ref.Stats() != ser.Stats() || ser.Stats() != par.Stats() {
-			t.Fatalf("stats diverged:\n reference %+v\n serial    %+v\n parallel  %+v",
-				ref.Stats(), ser.Stats(), par.Stats())
+		if ref.Stats() != ser.Stats() {
+			t.Fatalf("stats diverged:\n reference %+v\n serial    %+v", ref.Stats(), ser.Stats())
 		}
 	})
 }

@@ -39,14 +39,6 @@ type Config struct {
 	// in [side, 2·side) are ROW banks (routed via requestPathRowRail),
 	// doubling the number of independent serialization points.
 	DualRail bool
-	// Parallelism selects how many OS workers advance a phase's
-	// tree-connectivity components concurrently. 0 (the default) consults
-	// the PRAMSIM_PARALLEL environment variable and falls back to the
-	// serial reference router; 1 forces the serial router; values > 1 use
-	// that many workers; negative values use GOMAXPROCS. The parallel
-	// router is bit-for-bit identical to the serial one (see the package
-	// doc and the differential tests).
-	Parallelism int
 }
 
 // Stats accumulates network-level counters across phases.
@@ -91,12 +83,10 @@ func (s Stats) Sub(prev Stats) Stats {
 // implementation by the golden-trace tests and the AoS reference router in
 // reference_test.go.
 //
-// With Config.Parallelism > 1 a phase's packets are partitioned into
-// tree-connectivity components and advanced concurrently on a bounded
-// worker pool (see parallel.go); results are merged in canonical component
-// order, so grants, cycle counts and Stats stay bit-for-bit identical to
-// the serial router. The arenas still make a Network single-threaded from
-// the caller's point of view: one phase at a time.
+// Each phase is partitioned into tree-connectivity components (see
+// partition.go); singleton components are resolved in closed form and only
+// the contended ones run the synchronous cycle loop. The arenas make a
+// Network single-threaded: one phase at a time.
 type Network struct {
 	topo Topology
 	cfg  Config
@@ -106,13 +96,13 @@ type Network struct {
 
 	phase int64 // RoutePhase invocation counter; stamps the intern tables
 
-	// shards hold the per-worker slices of the router arena: the edge
-	// claim-set plus the per-component cycle-loop accumulators. shards[0]
-	// doubles as the serial router's state; the pool workers own
-	// shards[1:]. See parallel.go.
-	shards []shard
-	par    int      // resolved worker count (1 = serial reference router)
-	pool   *motPool // lazily started worker pool when par > 1
+	// Edge claim-set: cycle-stamped open addressing keyed by dense edge
+	// index. A slot whose cycle differs from the current one is free, so
+	// the table never needs clearing — stale entries from earlier cycles
+	// or phases only ever cause extra probing, never a false collision,
+	// because claim outcomes depend solely on (cycle, key) equality.
+	slots []edgeSlot
+	mask  int
 
 	// Module interning: grid module id -> phase-local id, open addressing.
 	modSlotKey   []int32
@@ -145,18 +135,17 @@ type Network struct {
 	// pktTrees stores, per packet, the union-find node ids of the up-to-
 	// three trees its path traverses (3 entries each, −1 when unused).
 	// Together with the module node they define the packet's connectivity
-	// component — the unit of parallel advancement. Kept out of the hot
-	// lanes so the cycle loop's working set stays minimal.
+	// component, which decides whether the singleton fast path applies.
+	// Kept out of the hot lanes so the cycle loop's working set stays
+	// minimal.
 	pktTrees []int32
 
-	// Tree-connectivity partition scratch (parallel router only).
+	// Tree-connectivity partition scratch.
 	ufParent []int32
 	ufSize   []int32
 	ufStamp  []int64
-	compCnt  []int32 // per component: packet count, then fill cursor
+	compCnt  []int32 // per component: packet count
 	compOf   []int32 // per active position: component id
-	compEnd  []int32 // per component: end offset into compPkts
-	compPkts []int32 // packet indices grouped by component, priority order
 }
 
 // edgeSlot is one entry of the cycle-stamped edge claim-set.
@@ -174,9 +163,7 @@ func NewNetwork(side int, pl Placement, cfg Config) *Network {
 		cfg.RowOf = func(v, cp int) int { return int(mix64(uint64(v)*31+uint64(cp))) & (side - 1) }
 	}
 	topo := NewTopology(side, pl) // panics if side breaches the int32 dense-edge ceiling
-	nw := &Network{topo: topo, cfg: cfg, shards: make([]shard, 1)}
-	nw.SetParallelism(cfg.Parallelism)
-	return nw
+	return &Network{topo: topo, cfg: cfg}
 }
 
 // Topology returns the network's shape.
@@ -199,13 +186,19 @@ func (nw *Network) SetBandwidth(perPhase int) {
 // Stats returns accumulated counters.
 func (nw *Network) Stats() Stats { return nw.stats }
 
-// Parallelism returns the resolved worker count (1 = serial).
-func (nw *Network) Parallelism() int { return nw.par }
-
 // ensureTables sizes the claim-set, intern tables and per-phase buffers for
 // a phase of k attempts, growing (and only growing) the reusable arenas.
 func (nw *Network) ensureTables(k int) {
-	nw.shards[0].ensure(k)
+	// Per cycle at most one edge claim per live packet, so 4k slots keep
+	// the claim-set's load factor under 25%.
+	if need := 4 * k; nw.mask == 0 || len(nw.slots) < need {
+		sz := 64
+		for sz < need {
+			sz *= 2
+		}
+		nw.slots = make([]edgeSlot, sz)
+		nw.mask = sz - 1
+	}
 
 	needMod := 2 * k
 	if nw.modMask == 0 || len(nw.modSlotKey) < needMod {
@@ -377,9 +370,6 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	nw.active = active[:0]
 
 	start := nw.clock
-	if nw.par > 1 && len(active) > 1 {
-		return granted, nw.routeParallel(active, start), maxLoad
-	}
 
 	// Singleton fast path. The tree-partition invariant (package doc) says
 	// a packet alone in its tree-connectivity component can never lose an
@@ -393,42 +383,31 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	// the cycle loop only the contended components. Bit-for-bit identical
 	// to routing them: the golden traces, the AoS reference differential
 	// tests and FuzzRoutePhase pin it.
-	var fastElapsed int64
-	if len(active) > 0 {
-		nw.partition(active)
-		compOf, compCnt := nw.compOf, nw.compCnt
-		w := 0
-		var hops, served int64
-		for j, pi := range active {
-			if compCnt[compOf[j]] == 1 {
-				pathLen := int64(pktEnd[pi] - pktCur[pi])
-				granted[pi] = true
-				hops += pathLen
-				served++
-				if pathLen+1 > fastElapsed {
-					fastElapsed = pathLen + 1
-				}
-				continue
+	var fastElapsed, hops, collisions, served int64
+	nw.partition(active)
+	compOf, compCnt := nw.compOf, nw.compCnt
+	w := 0
+	for j, pi := range active {
+		if compCnt[compOf[j]] == 1 {
+			pathLen := int64(pktEnd[pi] - pktCur[pi])
+			granted[pi] = true
+			hops += pathLen
+			served++
+			if pathLen+1 > fastElapsed {
+				fastElapsed = pathLen + 1
 			}
-			active[w] = pi
-			w++
+			continue
 		}
-		active = active[:w]
-		nw.stats.Hops += hops
-		nw.stats.Served += served
+		active[w] = pi
+		w++
 	}
+	active = active[:w]
 
-	// Serial reference cycle loop. advance() is its component-scoped twin
-	// for the parallel router: the two bodies MUST stay textually parallel
-	// (the golden traces, the differential tests and FuzzRoutePhase pin
-	// them bit-for-bit). The loop lives inline here rather than calling
-	// advance() because the serial path folds straight into nw.stats —
-	// no per-cycle backlog recording, no shard merge.
-	slots, mask := nw.shards[0].slots, nw.shards[0].mask
+	// Synchronous cycle loop over the contended components.
+	slots, mask := nw.slots, nw.mask
 	modServed, modServedCnt := nw.modServed, nw.modServedCnt
 	capacity := nw.cfg.ModuleCapacity
 	drop := nw.cfg.Policy == DropOnCollision
-	var hops, collisions, served int64
 	maxQueue := nw.stats.MaxQueue
 	clock := start
 	for len(active) > 0 {
@@ -506,139 +485,6 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	nw.clock = start + elapsed
 	nw.stats.Cycles += elapsed
 	return granted, elapsed, maxLoad
-}
-
-// advance runs the synchronous cycle loop over one component's packets —
-// act, in priority order — until every packet has returned or been refused.
-// It is the parallel router's component-scoped twin of the serial loop
-// inlined in RoutePhase: the two bodies MUST stay textually parallel, and
-// the golden traces, differential tests and FuzzRoutePhase pin them
-// bit-for-bit. act is compacted in place; all cross-packet state it
-// touches (edge claims, per-cycle counters) lives in sh, and all
-// per-module state is indexed by phase-local module ids that the partition
-// confines to a single component.
-//
-//pram:hotpath
-func (nw *Network) advance(sh *shard, act []int32, start int64) {
-	// Hoist every hot field into locals: the cycle loop must not juggle
-	// two indirection roots (nw and sh), or register spills eat the gains
-	// the arena design bought.
-	pktCur, pktEnd, pktSrv, pktMod := nw.pktCur, nw.pktEnd, nw.pktSrv, nw.pktMod
-	pathBuf := nw.pathBuf
-	granted := nw.granted
-	modServed := nw.modServed
-	modServedCnt := nw.modServedCnt
-	capacity := nw.cfg.ModuleCapacity
-	drop := nw.cfg.Policy == DropOnCollision
-	slots := sh.slots
-	mask := sh.mask
-	var hops, collisions, served int64
-	clock := start
-	for len(act) > 0 {
-		clock++
-		cycle := clock
-		queued := int32(0)
-		w := 0
-		for _, pi := range act {
-			cur := pktCur[pi]
-			srv := pktSrv[pi]
-			// Module service point.
-			if cur == srv {
-				lm := pktMod[pi]
-				if modServed[lm] != cycle {
-					modServed[lm] = cycle
-					modServedCnt[lm] = 0
-				}
-				if int(modServedCnt[lm]) < capacity {
-					modServedCnt[lm]++
-					pktSrv[pi] = -1
-					served++
-				} else {
-					queued++ // wait at the module leaf (stage-2 queue)
-				}
-				act[w] = pi
-				w++
-				continue
-			}
-			// Edge traversal: claim-set probe, then branch-free selects
-			// (see the serial loop for the probe/idempotent-store design).
-			e := pathBuf[cur]
-			h := int((uint64(uint32(e))*0x9E3779B97F4A7C15)>>40) & mask
-			s := &slots[h]
-			ok := s.cycle != cycle
-			if !ok && s.key != e {
-				ok = claimEdgeProbe(slots, mask, e, cycle, h)
-			} else {
-				s.cycle = cycle
-				s.key = e
-			}
-			adv := b2i(ok)
-			cur += adv
-			pktCur[pi] = cur
-			hops += int64(adv)
-			done := cur == pktEnd[pi]
-			granted[pi] = done
-			refused := drop && !ok && srv >= 0
-			collisions += int64(b2i(refused))
-			act[w] = pi
-			w += int(b2i(!(done || refused)))
-		}
-		act = act[:w]
-		// Record this cycle's module backlog at its offset within the
-		// phase, so per-cycle depths from concurrently advanced components
-		// sum to the serial router's global count at merge time. Zero
-		// depths are implicit (merge treats offsets past len as 0), so the
-		// common all-served cycle costs one register compare.
-		if queued != 0 {
-			t := int(clock - start)
-			for len(sh.queued) < t {
-				sh.queued = append(sh.queued, 0)
-			}
-			sh.queued[t-1] += queued
-		}
-	}
-	sh.hops += hops
-	sh.collisions += collisions
-	sh.served += served
-	if e := clock - start; e > sh.elapsed {
-		sh.elapsed = e
-	}
-}
-
-// merge folds the phase's shard accumulators into the network's stats and
-// clock. Counter sums are order-independent (exact int64 addition), the
-// makespan is the max over shards, and the per-cycle module backlogs are
-// summed offset-wise across shards before the running MaxQueue comparison —
-// exactly the serial router's per-global-cycle count.
-func (nw *Network) merge(shards []shard, start int64) int64 {
-	var elapsed int64
-	maxT := 0
-	for i := range shards {
-		sh := &shards[i]
-		nw.stats.Hops += sh.hops
-		nw.stats.Collisions += sh.collisions
-		nw.stats.Served += sh.served
-		if sh.elapsed > elapsed {
-			elapsed = sh.elapsed
-		}
-		if len(sh.queued) > maxT {
-			maxT = len(sh.queued)
-		}
-	}
-	for t := 0; t < maxT; t++ {
-		q := 0
-		for i := range shards {
-			if t < len(shards[i].queued) {
-				q += int(shards[i].queued[t])
-			}
-		}
-		if q > nw.stats.MaxQueue {
-			nw.stats.MaxQueue = q
-		}
-	}
-	nw.clock = start + elapsed
-	nw.stats.Cycles += elapsed
-	return elapsed
 }
 
 // mix64 is splitmix64's finalizer: a cheap, deterministic hash used to

@@ -62,6 +62,33 @@ func (rn *refNetwork) SetBandwidth(perPhase int) {
 
 func (rn *refNetwork) Stats() Stats { return rn.stats }
 
+// route resolves one attempt to its packed-edge request path and grid
+// module id, the pre-SoA way.
+func (rn *refNetwork) route(a quorum.Attempt) ([]uint64, int) {
+	side := rn.topo.Side
+	var row, col int
+	rowRail := false
+	if rn.topo.Placement == ModulesAtLeaves {
+		if rn.cfg.DualRail && a.Module >= side {
+			rowRail = true
+			row = a.Module & (side - 1)
+			col = rn.cfg.RowOf(a.Var, a.Copy) & (side - 1)
+		} else {
+			col = a.Module & (side - 1)
+			row = rn.cfg.RowOf(a.Var, a.Copy) & (side - 1)
+		}
+	} else {
+		col = a.Module & (side - 1)
+	}
+	if a.Proc >= side {
+		panic("mot: processor id exceeds root count")
+	}
+	if rowRail {
+		return rn.topo.requestPathRowRail(a.Proc, row, col), row*side + col
+	}
+	return rn.topo.requestPath(a.Proc, row, col), row*side + col
+}
+
 // RoutePhase routes one phase the pre-SoA way: build heap packets, sort
 // stably by priority, then per cycle sweep the survivors claiming edges in
 // a fresh map. Deliberately allocation-heavy and branchy — it is the
@@ -71,39 +98,16 @@ func (rn *refNetwork) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int)
 	if len(attempts) == 0 {
 		return granted, 0, 0
 	}
-	side := rn.topo.Side
 	pkts := make([]*refPacket, 0, len(attempts))
 	modLoad := map[int]int{}
 	for i, a := range attempts {
-		var row, col int
-		rowRail := false
-		if rn.topo.Placement == ModulesAtLeaves {
-			if rn.cfg.DualRail && a.Module >= side {
-				rowRail = true
-				row = a.Module & (side - 1)
-				col = rn.cfg.RowOf(a.Var, a.Copy) & (side - 1)
-			} else {
-				col = a.Module & (side - 1)
-				row = rn.cfg.RowOf(a.Var, a.Copy) & (side - 1)
-			}
-		} else {
-			col = a.Module & (side - 1)
-		}
-		if a.Proc >= side {
-			panic("mot: processor id exceeds root count")
-		}
-		var path []uint64
-		if rowRail {
-			path = rn.topo.requestPathRowRail(a.Proc, row, col)
-		} else {
-			path = rn.topo.requestPath(a.Proc, row, col)
-		}
+		path, module := rn.route(a)
 		pk := &refPacket{
 			attempt: i,
 			prio:    a.Proc,
 			path:    path,
 			service: rn.topo.servicePos(),
-			module:  row*side + col,
+			module:  module,
 		}
 		pkts = append(pkts, pk)
 		modLoad[pk.module]++
@@ -162,15 +166,33 @@ func (rn *refNetwork) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int)
 	return granted, elapsed, maxLoad
 }
 
+// refLoads are the phase sizes the differential sweeps draw from. The
+// router has two regimes — the singleton fast path and the cycle loop over
+// contended components — and the load decides which one a phase exercises:
+// sparse phases are mostly singletons, dense ones (up to four packets per
+// root) leave almost none, mixed spans both.
+var refLoads = []string{"sparse", "mixed", "dense"}
+
+// refPhaseSize draws a phase's packet count for one of refLoads.
+func refPhaseSize(rng *rand.Rand, side int, load string) int {
+	switch load {
+	case "sparse":
+		return 1 + rng.Intn(side/4+1)
+	case "dense":
+		return side + rng.Intn(3*side)
+	}
+	return 1 + rng.Intn(2*side)
+}
+
 // refAttempts draws one phase's attempt set, including duplicate and
 // descending processor ids (sort path, priority ties) and, under dual
 // rail, row-bank ids.
-func refAttempts(rng *rand.Rand, side int, dualRail bool) []quorum.Attempt {
+func refAttempts(rng *rand.Rand, side int, dualRail bool, load string) []quorum.Attempt {
 	banks := side
 	if dualRail {
 		banks = 2 * side
 	}
-	k := 1 + rng.Intn(2*side)
+	k := refPhaseSize(rng, side, load)
 	attempts := make([]quorum.Attempt, k)
 	for i := range attempts {
 		attempts[i] = quorum.Attempt{
@@ -185,16 +207,15 @@ func refAttempts(rng *rand.Rand, side int, dualRail bool) []quorum.Attempt {
 }
 
 // runReferencePhases drives the AoS reference and a production network
-// (serial or parallel) through identical phase streams — including a
-// mid-stream bandwidth change — and demands bit-for-bit equality.
-func runReferencePhases(t *testing.T, side int, pl Placement, cfg Config, workers int, seed int64, phases int) {
+// through identical phase streams — including a mid-stream bandwidth
+// change — and demands bit-for-bit equality.
+func runReferencePhases(t *testing.T, side int, pl Placement, cfg Config, load string, seed int64, phases int) {
 	t.Helper()
 	ref := newRefNetwork(side, pl, cfg)
-	cfg.Parallelism = workers
 	nw := NewNetwork(side, pl, cfg)
 	rng := rand.New(rand.NewSource(seed))
 	for phase := 0; phase < phases; phase++ {
-		attempts := refAttempts(rng, side, cfg.DualRail)
+		attempts := refAttempts(rng, side, cfg.DualRail, load)
 		if phase == phases/2 {
 			ref.SetBandwidth(3)
 			nw.SetBandwidth(3)
@@ -216,9 +237,9 @@ func runReferencePhases(t *testing.T, side int, pl Placement, cfg Config, worker
 	}
 }
 
-// TestReferenceDifferential sweeps the SoA router — serial AND parallel —
-// against the retired AoS reference across sides, placements, policies,
-// rails, module capacities and worker counts.
+// TestReferenceDifferential sweeps the SoA router against the retired AoS
+// reference across sides, placements, policies, rails, module capacities
+// and phase loads.
 func TestReferenceDifferential(t *testing.T) {
 	type tc struct {
 		pl       Placement
@@ -237,17 +258,19 @@ func TestReferenceDifferential(t *testing.T) {
 	}
 	for _, side := range []int{4, 8, 16, 32} {
 		for ci, c := range cases {
-			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("side=%d/case=%d/pl=%v/pol=%d/dual=%v/cap=%d/w=%d",
-					side, ci, c.pl, c.pol, c.dualRail, c.capacity, workers)
-				t.Run(name, func(t *testing.T) {
-					for seed := int64(1); seed <= 3; seed++ {
-						runReferencePhases(t, side, c.pl,
-							Config{Policy: c.pol, DualRail: c.dualRail, ModuleCapacity: c.capacity},
-							workers, seed*1289, 6)
-					}
-				})
-			}
+			name := fmt.Sprintf("side=%d/case=%d/pl=%v/pol=%d/dual=%v/cap=%d",
+				side, ci, c.pl, c.pol, c.dualRail, c.capacity)
+			t.Run(name, func(t *testing.T) {
+				for _, load := range refLoads {
+					t.Run("load="+load, func(t *testing.T) {
+						for seed := int64(1); seed <= 3; seed++ {
+							runReferencePhases(t, side, c.pl,
+								Config{Policy: c.pol, DualRail: c.dualRail, ModuleCapacity: c.capacity},
+								load, seed*1289, 6)
+						}
+					})
+				}
+			})
 		}
 	}
 }
@@ -285,5 +308,137 @@ func TestReferenceSingletonPhase(t *testing.T) {
 					ref.Stats().Hops, nw.Stats().Hops, c.want)
 			}
 		})
+	}
+}
+
+// TestPartitionMatchesOracle checks the tree partition that gates the
+// singleton fast path against an independent derivation: components of the
+// "shares a tree or a module" relation computed from the reference router's
+// packed edge ids, numbered in priority order of first appearance. It also
+// checks the property the fast path relies on directly — a packet alone in
+// its component shares no edge and no module with any other packet.
+func TestPartitionMatchesOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		pl   Placement
+		cfg  Config
+	}{
+		{"leaves", ModulesAtLeaves, Config{}},
+		{"leaves-dual", ModulesAtLeaves, Config{DualRail: true}},
+		{"roots", ModulesAtRoots, Config{}},
+	}
+	for _, side := range []int{4, 8, 16, 32} {
+		for _, c := range cases {
+			for _, load := range refLoads {
+				name := fmt.Sprintf("side=%d/%s/load=%s", side, c.name, load)
+				t.Run(name, func(t *testing.T) {
+					ref := newRefNetwork(side, c.pl, c.cfg)
+					nw := NewNetwork(side, c.pl, c.cfg)
+					rng := rand.New(rand.NewSource(int64(side) * 7919))
+					for phase := 0; phase < 8; phase++ {
+						attempts := refAttempts(rng, side, c.cfg.DualRail, load)
+						nw.RoutePhase(attempts)
+						checkPartition(t, phase, ref, attempts, nw.compOf, nw.compCnt)
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkPartition compares one phase's (compOf, compCnt) with the oracle.
+func checkPartition(t *testing.T, phase int, ref *refNetwork, attempts []quorum.Attempt, compOf, compCnt []int32) {
+	t.Helper()
+	k := len(attempts)
+	order := make([]int, k)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool { return attempts[order[x]].Proc < attempts[order[y]].Proc })
+	paths := make([][]uint64, k)
+	modules := make([]int, k)
+	for i, a := range attempts {
+		paths[i], modules[i] = ref.route(a)
+	}
+	// Naive union-find over packets: link every packet to the first one
+	// seen on each of its trees (kind and tree index of the packed edge id,
+	// direction ignored) and on its module.
+	parent := make([]int, k)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	firstOnTree := map[uint64]int{}
+	firstOnModule := map[int]int{}
+	link := func(i, j int) { parent[find(i)] = find(j) }
+	for i := range attempts {
+		for _, e := range paths[i] {
+			tree := (e >> 63 << 62) | ((e >> 40) & (1<<22 - 1)) // kind, tree index
+			if j, ok := firstOnTree[tree]; ok {
+				link(i, j)
+			} else {
+				firstOnTree[tree] = i
+			}
+		}
+		if j, ok := firstOnModule[modules[i]]; ok {
+			link(i, j)
+		} else {
+			firstOnModule[modules[i]] = i
+		}
+	}
+	idOf := map[int]int32{}
+	var wantCnt []int32
+	if len(compOf) != k {
+		t.Fatalf("phase %d: %d component labels for %d packets", phase, len(compOf), k)
+	}
+	for j, pi := range order {
+		r := find(pi)
+		id, ok := idOf[r]
+		if !ok {
+			id = int32(len(wantCnt))
+			idOf[r] = id
+			wantCnt = append(wantCnt, 0)
+		}
+		wantCnt[id]++
+		if compOf[j] != id {
+			t.Fatalf("phase %d: packet %d (priority position %d) in component %d, oracle says %d",
+				phase, pi, j, compOf[j], id)
+		}
+	}
+	if fmt.Sprint(compCnt) != fmt.Sprint(wantCnt) {
+		t.Fatalf("phase %d: component sizes %v, oracle %v", phase, compCnt, wantCnt)
+	}
+	// A path may cross one directed edge twice (the reply retraces the
+	// request's climb when row == proc), so edges count distinct packets.
+	const shared = -1
+	edgeOwner := map[uint64]int{}
+	moduleUsers := map[int]int{}
+	for i := range attempts {
+		for _, e := range paths[i] {
+			if o, ok := edgeOwner[e]; !ok {
+				edgeOwner[e] = i
+			} else if o != i {
+				edgeOwner[e] = shared
+			}
+		}
+		moduleUsers[modules[i]]++
+	}
+	for j, pi := range order {
+		if compCnt[compOf[j]] != 1 {
+			continue
+		}
+		if moduleUsers[modules[pi]] != 1 {
+			t.Fatalf("phase %d: singleton packet %d shares module %d", phase, pi, modules[pi])
+		}
+		for _, e := range paths[pi] {
+			if edgeOwner[e] == shared {
+				t.Fatalf("phase %d: singleton packet %d shares edge %x", phase, pi, e)
+			}
+		}
 	}
 }

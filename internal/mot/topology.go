@@ -40,7 +40,7 @@
 //	pktMod  phase-local module id for service accounting
 //
 // plus cold side-tables (pktPrio for the sort path, pktTrees for the
-// parallel partition) that the cycle loop never touches. The compacted
+// tree partition) that the cycle loop never touches. The compacted
 // active list holds indices into these lanes in ascending order, so a
 // cycle's sweep reads each lane sequentially — cache-linear, 16 hot bytes
 // per packet instead of a 32-byte struct.
@@ -61,7 +61,7 @@
 // by bumping the write cursor with b2i(keep). The only branch left in
 // the loop body is the once-per-packet module-service point.
 //
-// # Tree-partition invariant (multi-core routing)
+// # Tree-partition invariant
 //
 // The 4a trees of the 2DMOT are edge-disjoint, and a packet interacts with
 // other packets through exactly two mechanisms: edge contention (possible
@@ -72,14 +72,12 @@
 // rail) the row tree of the target row — all known at injection time.
 // Partitioning a phase's packets into connected components of the
 // "shares a tree or a module" relation therefore yields groups with
-// disjoint edge sets, disjoint module counters and disjoint result slots,
-// and the synchronous cycle loop factorizes exactly: advancing each
-// component independently and merging — counter sums, makespan max, and
-// per-cycle module backlogs summed by cycle offset (all components start
-// at the same global cycle) — reproduces the serial router bit for bit.
-// Config.Parallelism > 1 exploits this on a bounded worker pool (see
-// parallel.go); the differential tests, FuzzRoutePhase and the golden
-// traces under PRAMSIM_PARALLEL pin the equivalence.
+// disjoint edge sets, disjoint module counters and disjoint result slots.
+// A packet alone in its component therefore never loses an edge claim nor
+// queues at its module, so RoutePhase resolves it in closed form (see
+// partition.go) and runs the cycle loop over the contended packets only;
+// the golden traces, the AoS reference router and FuzzRoutePhase pin the
+// result bit for bit.
 package mot
 
 import (

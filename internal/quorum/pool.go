@@ -14,14 +14,13 @@
 // are executed serially in ascending shard order by a single worker — the
 // deterministic merge that resolves module contention without a lock. The
 // result is bit-for-bit identical to executing every shard serially in
-// index order (pool differential tests), so the Engines knob, like the
-// router's Parallelism knob, trades wall-clock only.
+// index order (pool differential tests), so the Engines knob trades
+// wall-clock only.
 //
-// The worker pool is bounded and persistent, patterned on the router's:
-// the caller participates as worker 0, background workers park on a token
-// channel between steps and pull components off an atomic cursor, and a
-// runtime cleanup retires the goroutines when the Pool becomes
-// unreachable. Steady-state ExecuteSteps performs zero heap allocations
+// The worker pool is bounded and persistent: the caller participates as
+// worker 0, background workers park on a token channel between steps and
+// pull components off an atomic cursor, and a runtime cleanup retires the
+// goroutines when the Pool becomes unreachable. Steady-state ExecuteSteps performs zero heap allocations
 // (TestPoolExecuteStepsZeroAllocs).
 package quorum
 
@@ -190,8 +189,7 @@ func ResolveEngines(k int) int {
 // engine count, or "on"/"true"/"max" for GOMAXPROCS; unset, empty, "off",
 // "false" or "0" select a single engine. Any other value panics: a
 // malformed knob silently collapsing to one engine would let CI
-// pool-equivalence runs test nothing (the same contract as
-// PRAMSIM_PARALLEL).
+// pool-equivalence runs test nothing.
 func envEngines() int {
 	switch v := os.Getenv("PRAMSIM_ENGINES"); v {
 	case "", "off", "false", "0":

@@ -3,6 +3,7 @@ package quorum
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/memmap"
@@ -10,8 +11,10 @@ import (
 )
 
 // captureSink copies every recorded step (the slices alias machine
-// scratch, so a sink must deep-copy what it keeps).
+// scratch, so a sink must deep-copy what it keeps). A pool's shard machines
+// call RecordStep concurrently for different lanes, so appends are locked.
 type captureSink struct {
+	mu       sync.Mutex
 	lanes    []int
 	steps    []DedupStep
 	reports  []string
@@ -21,6 +24,8 @@ type captureSink struct {
 
 func (c *captureSink) RecordStep(lane int, reads []Request, readerOff, readerProcs []int32,
 	writes []Request, rep model.StepReport) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.lanes = append(c.lanes, lane)
 	c.steps = append(c.steps, DedupStep{
 		Reads:       append([]Request(nil), reads...),

@@ -157,10 +157,9 @@ type Config struct {
 	Stage1Phases    int
 	Stage2Bandwidth int
 
-	// Parallelism (router workers) and Workers (pool executors) are
-	// runtime wall-clock knobs: NOT persisted, never affect results.
-	Parallelism int `json:"-"`
-	Workers     int `json:"-"`
+	// Workers (pool executors) is a runtime wall-clock knob: NOT
+	// persisted, never affects results.
+	Workers int `json:"-"`
 }
 
 // normalize resolves defaulted fields to the values the core constructors
@@ -260,7 +259,7 @@ func (c Config) Build() (b *Built, err error) {
 		}
 	case KindMOT2D:
 		mc := core.MOTConfig{K: c.KExp, Delta: c.Gran, Mode: c.Mode, Seed: c.Seed,
-			Policy: c.Policy, DualRail: c.DualRail, Parallelism: c.Parallelism,
+			Policy: c.Policy, DualRail: c.DualRail,
 			Engines: c.Lanes, Workers: c.Workers}
 		if c.Lanes == 1 {
 			m := core.NewMOT2D(c.Procs, mc)
@@ -271,7 +270,7 @@ func (c Config) Build() (b *Built, err error) {
 		}
 	case KindLuccio:
 		mc := core.MOTConfig{K: c.KExp, Mode: c.Mode, Seed: c.Seed,
-			Policy: c.Policy, Parallelism: c.Parallelism}
+			Policy: c.Policy}
 		m := core.NewLuccio(c.Procs, mc)
 		b.Machine, b.Store, b.Params, b.Side = m.Machine, m.Store(), m.P, m.Side
 	default:

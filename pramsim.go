@@ -28,11 +28,10 @@
 //	})
 //	fmt.Println(rep.SimTime, "network cycles")
 //
-// The mesh-of-trees machines route packets on multiple OS cores when
-// MOTConfig.Parallelism > 1 (or PRAMSIM_PARALLEL is set): phases are
-// partitioned into tree-connectivity components and advanced on a worker
-// pool, bit-for-bit identical to the serial router — simulated time,
-// grants and statistics never depend on the setting.
+// The mesh-of-trees machines route each phase on one goroutine: packets
+// alone in their tree-connectivity component are resolved in closed form
+// and only contended packets run the synchronous cycle loop. Simulated
+// time, grants and statistics depend only on the program and the seed.
 package pramsim
 
 import (
