@@ -199,7 +199,12 @@ func BenchmarkE12PoolStep(b *testing.B) {
 				}
 				batches[sh] = batch
 			}
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
+			// One untimed step sizes the engines' batch scratch, so the
+			// timed loop reports the steady state alone.
+			if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {
+				b.Fatal(agg.Err)
+			}
+			b.ReportAllocs() // steady state must stay at 0 allocs/op and 0 B/op
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {

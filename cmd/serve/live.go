@@ -204,6 +204,25 @@ func summarize(s *serve.Server, elapsed time.Duration) {
 	printSummary(o)
 }
 
+// Live-server connection timeouts: a client that trickles (or never
+// finishes) its request headers, or parks an idle keep-alive connection,
+// is cut off instead of pinning a goroutine and a socket for good.
+const (
+	liveReadHeaderTimeout = 10 * time.Second
+	liveIdleTimeout       = 2 * time.Minute
+)
+
+// newLiveServer wraps the serving handler in the `serve http` listener's
+// server. WriteTimeout stays unset: the opt-in /debug/pprof profiles
+// stream for their ?seconds= duration.
+func newLiveServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: liveReadHeaderTimeout,
+		IdleTimeout:       liveIdleTimeout,
+	}
+}
+
 func cmdHTTP(args []string) error {
 	fs := flag.NewFlagSet("serve http", flag.ExitOnError)
 	sf := addShared(fs)
@@ -288,7 +307,7 @@ func cmdHTTP(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h.Handler()}
+	srv := newLiveServer(h.Handler())
 	go srv.Serve(ln)
 	go h.Loop(*every)
 	logf("listening on http://%s — POST /submit?tenant=NAME&steps=N, GET /metrics, GET /healthz (K=%d, round every %v)",

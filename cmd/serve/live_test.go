@@ -140,3 +140,19 @@ func TestLiveFlightReplaysBitForBit(t *testing.T) {
 		t.Errorf("replay fingerprint %016x != recorded %016x", fp, sc.Fingerprint)
 	}
 }
+
+// TestNewLiveServerTimeouts pins the live listener's connection timeouts:
+// header reads and idle keep-alives are bounded, while writes are not (a
+// pprof profile streams for its requested duration).
+func TestNewLiveServerTimeouts(t *testing.T) {
+	srv := newLiveServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (pprof profiles stream past any fixed bound)", srv.WriteTimeout)
+	}
+}

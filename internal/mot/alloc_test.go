@@ -112,3 +112,95 @@ func TestDensePathMatchesEdgeIDs(t *testing.T) {
 		}
 	}
 }
+
+// reverseDense returns the dense index of e traversed in the opposite
+// direction: the dir bit sits just above the tree index in denseEdgeID's
+// layout, so flipping it moves the index by side·EdgesPerTree.
+func reverseDense(t Topology, e int32) int32 {
+	block := int32(t.Side * t.EdgesPerTree())
+	if (e/block)&1 == dirDown {
+		return e + block
+	}
+	return e - block
+}
+
+// TestDensePathLength pins the closed form the singleton fast path relies
+// on instead of building the path: every dense request path has exactly
+// 2·servicePos() edges, and the reply leg that starts at servicePos() is
+// the exact reverse of the request leg — so the edge at servicePos() is
+// the first reply edge.
+func TestDensePathLength(t *testing.T) {
+	cases := []struct {
+		name    string
+		pl      Placement
+		rowRail bool
+	}{
+		{"leaves", ModulesAtLeaves, false},
+		{"leaves-rowrail", ModulesAtLeaves, true},
+		{"roots", ModulesAtRoots, false},
+	}
+	for _, c := range cases {
+		for side := 2; side <= 1024; side *= 2 {
+			topo := NewTopology(side, c.pl)
+			svc := topo.servicePos()
+			rng := rand.New(rand.NewSource(int64(side)))
+			for trial := 0; trial < 32; trial++ {
+				proc, row, col := rng.Intn(side), rng.Intn(side), rng.Intn(side)
+				if trial == 0 {
+					proc, row, col = side-1, side-1, side-1
+				}
+				if c.pl == ModulesAtRoots {
+					row = 0
+				}
+				var p []int32
+				if c.rowRail {
+					p = topo.appendRequestPathRowRailDense(nil, proc, row, col)
+				} else {
+					p = topo.appendRequestPathDense(nil, proc, row, col)
+				}
+				if len(p) != 2*svc {
+					t.Fatalf("%s side=%d (%d,%d,%d): path length %d, want 2·servicePos() = %d",
+						c.name, side, proc, row, col, len(p), 2*svc)
+				}
+				for j := 0; j < svc; j++ {
+					if p[svc+j] != reverseDense(topo, p[svc-1-j]) {
+						t.Fatalf("%s side=%d (%d,%d,%d): reply edge %d is not the reverse of request edge %d",
+							c.name, side, proc, row, col, svc+j, svc-1-j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPathsBuiltOnlyForContended checks that RoutePhase materializes paths
+// for contended packets only: an all-singleton phase leaves the path arena
+// empty, and a mixed phase leaves exactly 2·servicePos() entries per packet
+// in a component of size ≥ 2.
+func TestPathsBuiltOnlyForContended(t *testing.T) {
+	const side = 16
+	// Distinct processors to distinct banks share no tree and no module.
+	singletons := []quorum.Attempt{
+		{Proc: 0, Module: 3}, {Proc: 1, Module: 5}, {Proc: 4, Module: 9}, {Proc: 7, Module: 12},
+	}
+	// Two singletons (banks 3 and 7) plus a pair on bank 5 and a triple on
+	// bank 9: the shared column trees make five contended packets.
+	mixed := []quorum.Attempt{
+		{Proc: 0, Module: 3}, {Proc: 1, Module: 5}, {Proc: 2, Module: 5}, {Proc: 3, Module: 7},
+		{Proc: 4, Module: 9}, {Proc: 5, Module: 9}, {Proc: 6, Module: 9},
+	}
+	const contended = 5
+	for _, pl := range []Placement{ModulesAtLeaves, ModulesAtRoots} {
+		nw := NewNetwork(side, pl, Config{})
+		perPath := 2 * nw.topo.servicePos()
+		for i, ph := range []struct {
+			attempts []quorum.Attempt
+			want     int
+		}{{mixed, perPath * contended}, {singletons, 0}, {mixed, perPath * contended}} {
+			nw.RoutePhase(ph.attempts)
+			if got := len(nw.pathBuf); got != ph.want {
+				t.Errorf("%v phase %d: len(pathBuf) = %d, want %d", pl, i, got, ph.want)
+			}
+		}
+	}
+}

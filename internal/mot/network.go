@@ -72,9 +72,11 @@ func (s Stats) Sub(prev Stats) Stats {
 //
 // The simulation is allocation-free in steady state. Paths are materialized
 // as dense edge indices (Topology.denseEdgeID) into a shared per-phase
-// arena; per-cycle edge contention is a claim-set stamped with the global
-// cycle counter (which never resets, so the set never needs clearing), and
-// module service/load counters live in small phase-interned tables. Packet
+// arena, for contended packets only (a singleton's path length is the
+// constant 2·servicePos(), all its closed form needs); per-cycle edge
+// contention is a claim-set stamped with the global cycle counter (which
+// never resets, so the set never needs clearing), and module service/load
+// counters live in small phase-interned tables. Packet
 // state is STRUCTURE-OF-ARRAYS — four parallel int32 lanes (cursor, end,
 // service point, module), see the package doc's "SoA layout & claim
 // resolution" section — and each cycle walks a compacted active-packet list
@@ -84,8 +86,9 @@ func (s Stats) Sub(prev Stats) Stats {
 // reference_test.go.
 //
 // Each phase is partitioned into tree-connectivity components (see
-// partition.go); singleton components are resolved in closed form and only
-// the contended ones run the synchronous cycle loop. The arenas make a
+// partition.go) from the packets' trees and modules alone; singleton
+// components are resolved in closed form, and only the contended ones get
+// paths and run the synchronous cycle loop. The arenas make a
 // Network single-threaded: one phase at a time.
 type Network struct {
 	topo Topology
@@ -113,30 +116,33 @@ type Network struct {
 	modLoad      []int32 // per phase-local module: attempts this phase
 	modServed    []int64 // per phase-local module: cycle stamp of service count
 	modServedCnt []int32 // per phase-local module: services this cycle
+	modKey       []int32 // per phase-local module: grid leaf row·side+col
 
 	// SoA packet state: four parallel dense int32 lanes indexed by packet
 	// id (== attempt index). The cycle loop touches only these 4-byte
 	// lanes plus the shared path arena, so its working set is cache-linear
-	// in the compacted active order (ascending packet ids).
+	// in the compacted active order (ascending packet ids). pktCur, pktEnd
+	// and pktSrv are written by the path pass, for contended packets only.
 	pktCur []int32 // absolute index of the next edge in pathBuf
 	pktEnd []int32 // absolute end-of-path offset (grant on reaching it)
 	pktSrv []int32 // absolute module-service offset; −1 once served
 	pktMod []int32 // phase-local module id for service accounting
-	// pktPrio is the processor priority, consulted only on the cold sort
-	// path (engine schedules arrive pre-sorted) — kept out of the hot
-	// lanes above.
+	// pktPrio is the processor priority (== issuing processor), consulted
+	// only on the cold sort path (engine schedules arrive pre-sorted) and
+	// by the path pass — kept out of the hot lanes above.
 	pktPrio []int32
 
 	// Per-phase buffers.
 	active  []int32 // live packet indices in priority order, compacted per cycle
 	order   []int32 // processing order when attempts arrive unsorted
-	pathBuf []int32 // all packet paths, dense edge indices
+	pathBuf []int32 // contended packets' paths, dense edge indices, 2·servicePos() each
 	granted []bool
 	// pktTrees stores, per packet, the union-find node ids of the up-to-
 	// three trees its path traverses (3 entries each, −1 when unused).
 	// Together with the module node they define the packet's connectivity
-	// component, which decides whether the singleton fast path applies.
-	// Kept out of the hot lanes so the cycle loop's working set stays
+	// component, which decides whether the singleton fast path applies;
+	// a non-negative third entry also tells the path pass to take the row
+	// rail. Kept out of the hot lanes so the cycle loop's working set stays
 	// minimal.
 	pktTrees []int32
 
@@ -215,10 +221,12 @@ func (nw *Network) ensureTables(k int) {
 		nw.modLoad = make([]int32, k)
 		nw.modServed = make([]int64, k)
 		nw.modServedCnt = make([]int32, k)
+		nw.modKey = make([]int32, k)
 	}
 	nw.modLoad = nw.modLoad[:k]
 	nw.modServed = nw.modServed[:k]
 	nw.modServedCnt = nw.modServedCnt[:k]
+	nw.modKey = nw.modKey[:k]
 
 	nw.pktCur = growSlice(nw.pktCur, k)
 	nw.pktEnd = growSlice(nw.pktEnd, k)
@@ -278,12 +286,10 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	nw.phase++
 	nw.ensureTables(len(attempts))
 	nw.modCount = 0
-
-	pktCur, pktEnd, pktSrv := nw.pktCur, nw.pktEnd, nw.pktSrv
-	pktMod, pktPrio := nw.pktMod, nw.pktPrio
-	pktTrees := nw.pktTrees
-	pathBuf := nw.pathBuf[:0]
 	svc := int32(nw.topo.servicePos())
+
+	pktMod, pktPrio := nw.pktMod, nw.pktPrio
+	pktTrees, modKey := nw.pktTrees, nw.modKey
 	sorted := true
 	for i, a := range attempts {
 		var row, col int
@@ -307,37 +313,34 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 		if a.Proc >= side {
 			panic("mot: processor id exceeds root count")
 		}
-		lm := nw.internModule(int32(row*side + col))
+		key := int32(row*side + col)
+		lm := nw.internModule(key)
 		if nw.modServed[lm] != -nw.phase {
 			// First sighting this phase: reset the load counter (the
-			// negative phase stamp cannot collide with a cycle stamp).
+			// negative phase stamp cannot collide with a cycle stamp) and
+			// remember the leaf, from which the path pass rebuilds (row,
+			// col) for contended packets.
 			nw.modServed[lm] = -nw.phase
 			nw.modLoad[lm] = 0
 			nw.modServedCnt[lm] = 0
+			modKey[lm] = key
 		}
 		nw.modLoad[lm]++
-		off := int32(len(pathBuf))
 		// Tree-partition nodes: row trees are [0, side), column trees
 		// [side, 2·side); the module node is added during partitioning.
+		// The row rail climbs column tree `row`, then switches to ROW
+		// tree `row` for the final delivery, so pktTrees[3i+2] ≥ 0 also
+		// marks the rail for the path pass.
 		pktTrees[3*i], pktTrees[3*i+1], pktTrees[3*i+2] = int32(a.Proc), int32(side+col), -1
 		if rowRail {
-			pathBuf = nw.topo.appendRequestPathRowRailDense(pathBuf, a.Proc, row, col)
-			// The row rail climbs column tree `row`, then switches to ROW
-			// tree `row` for the final delivery.
 			pktTrees[3*i+1], pktTrees[3*i+2] = int32(side+row), int32(row)
-		} else {
-			pathBuf = nw.topo.appendRequestPathDense(pathBuf, a.Proc, row, col)
 		}
-		pktCur[i] = off
-		pktEnd[i] = int32(len(pathBuf))
-		pktSrv[i] = off + svc
 		pktMod[i] = lm
 		pktPrio[i] = int32(a.Proc)
 		if i > 0 && pktPrio[i-1] > pktPrio[i] {
 			sorted = false
 		}
 	}
-	nw.pathBuf = pathBuf
 	maxLoad := 0
 	for m := int32(0); m < nw.modCount; m++ {
 		if int(nw.modLoad[m]) > maxLoad {
@@ -378,30 +381,52 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	// is closed-form: it advances one edge per cycle, spends one cycle
 	// being served, and returns granted after pathLen+1 cycles having
 	// contributed pathLen hops, one service, zero collisions and zero
-	// backlog. At production sizes most packets are singletons (k packets
-	// scatter over side ≫ k banks), so resolving them analytically leaves
-	// the cycle loop only the contended components. Bit-for-bit identical
-	// to routing them: the golden traces, the AoS reference differential
-	// tests and FuzzRoutePhase pin it.
+	// backlog. Every request path has pathLen = 2·servicePos() edges (6d
+	// with modules at the leaves, 4d at the roots; TestDensePathLength pins
+	// it), so a singleton's path is never built. At production sizes most
+	// packets are singletons (k packets scatter over side ≫ k banks), so
+	// resolving them analytically leaves the path arena and the cycle loop
+	// only the contended components. Bit-for-bit identical to routing
+	// them: the golden traces, the AoS reference differential tests and
+	// FuzzRoutePhase pin it.
 	var fastElapsed, hops, collisions, served int64
+	pathLen := 2 * int64(svc)
 	nw.partition(active)
 	compOf, compCnt := nw.compOf, nw.compCnt
 	w := 0
 	for j, pi := range active {
 		if compCnt[compOf[j]] == 1 {
-			pathLen := int64(pktEnd[pi] - pktCur[pi])
 			granted[pi] = true
 			hops += pathLen
 			served++
-			if pathLen+1 > fastElapsed {
-				fastElapsed = pathLen + 1
-			}
+			fastElapsed = pathLen + 1
 			continue
 		}
 		active[w] = pi
 		w++
 	}
 	active = active[:w]
+
+	// Path pass: materialize the dense paths of the contended packets
+	// only, in priority order. Claim outcomes depend on (cycle, edge key)
+	// alone, never on arena offsets, so the layout is free.
+	pktCur, pktEnd, pktSrv := nw.pktCur, nw.pktEnd, nw.pktSrv
+	pathBuf := nw.pathBuf[:0]
+	depth := nw.topo.Depth
+	for _, pi := range active {
+		key := modKey[pktMod[pi]]
+		proc, row, col := int(pktPrio[pi]), int(key>>depth), int(key)&(side-1)
+		off := int32(len(pathBuf))
+		if pktTrees[3*pi+2] >= 0 {
+			pathBuf = nw.topo.appendRequestPathRowRailDense(pathBuf, proc, row, col)
+		} else {
+			pathBuf = nw.topo.appendRequestPathDense(pathBuf, proc, row, col)
+		}
+		pktCur[pi] = off
+		pktEnd[pi] = int32(len(pathBuf))
+		pktSrv[pi] = off + svc
+	}
+	nw.pathBuf = pathBuf
 
 	// Synchronous cycle loop over the contended components.
 	slots, mask := nw.slots, nw.mask

@@ -19,8 +19,9 @@
 // Network.RoutePhase performs zero heap allocations in steady state:
 // packet state lives in reusable structure-of-arrays lanes (see below),
 // paths are dense edge indices (see denseEdgeID) written into a reusable
-// arena, edge contention is a cycle-stamped claim-set that never needs
-// clearing (the global cycle counter never repeats), module counters are
+// arena — for contended packets only, the singletons never need theirs —
+// edge contention is a cycle-stamped claim-set that never needs clearing
+// (the global cycle counter never repeats), module counters are
 // phase-interned, and each cycle walks a compacted active-packet list.
 // testing.AllocsPerRun tests lock the invariant; golden-trace tests pin
 // grants, cycle counts and Stats bit-for-bit to the pre-arena reference
@@ -39,11 +40,14 @@
 //	        pktSrv ≥ 0, and "at its service point" iff pktCur == pktSrv)
 //	pktMod  phase-local module id for service accounting
 //
-// plus cold side-tables (pktPrio for the sort path, pktTrees for the
-// tree partition) that the cycle loop never touches. The compacted
-// active list holds indices into these lanes in ascending order, so a
-// cycle's sweep reads each lane sequentially — cache-linear, 16 hot bytes
-// per packet instead of a 32-byte struct.
+// plus cold side-tables that the cycle loop never touches: pktPrio (the
+// processor, for the sort path and the path pass), pktTrees (the tree
+// partition; its third entry also marks the row rail) and the per-module
+// modKey (the leaf row·side+col). The first three lanes are written by the
+// path pass, which runs after the partition and only for contended
+// packets. The compacted active list holds indices into these lanes in
+// ascending order, so a cycle's sweep reads each lane sequentially —
+// cache-linear, 16 hot bytes per packet instead of a 32-byte struct.
 //
 // Edge-claim resolution is branch-free on the hot path. The claim-set is
 // open-addressed and cycle-stamped; the first probe exploits an
@@ -75,9 +79,13 @@
 // disjoint edge sets, disjoint module counters and disjoint result slots.
 // A packet alone in its component therefore never loses an edge claim nor
 // queues at its module, so RoutePhase resolves it in closed form (see
-// partition.go) and runs the cycle loop over the contended packets only;
-// the golden traces, the AoS reference router and FuzzRoutePhase pin the
-// result bit for bit.
+// partition.go): every request path has 2·servicePos() edges (6d with
+// modules at the leaves on either rail, 4d at the roots), so the singleton
+// is granted after 2·servicePos()+1 cycles with 2·servicePos() hops and its
+// path is never built. RoutePhase therefore partitions from the trees and
+// module alone, then materializes paths and runs the cycle loop for the
+// contended packets only; the golden traces, the AoS reference router and
+// FuzzRoutePhase pin the result bit for bit.
 package mot
 
 import (

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/memmap"
@@ -98,5 +99,50 @@ func TestExecuteStepZeroAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("ExecuteStep allocates %.1f/op in steady state, want 0", avg)
+	}
+}
+
+// TestCompleteBipartiteScratchSteadyState pins the per-module table sizing.
+// A direct caller feeding a rising module-id ramp regrows the table only
+// O(log M) times — not once per new maximum — and then routes phases with
+// zero allocations; under an Engine the first phase sizes the table to the
+// store's module count.
+func TestCompleteBipartiteScratchSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation invariants are measured without the race detector")
+	}
+	const top = 1 << 16
+	cb := NewCompleteBipartite()
+	attempts := make([]Attempt, 8)
+	route := func(hi int) {
+		for i := range attempts {
+			attempts[i] = Attempt{Proc: i, Module: hi * (i + 1) / len(attempts)}
+		}
+		cb.RoutePhase(attempts)
+	}
+	regrowths, size := 0, len(cb.stamp)
+	for hi := 0; hi < top; hi += 97 {
+		route(hi)
+		if len(cb.stamp) != size {
+			regrowths, size = regrowths+1, len(cb.stamp)
+		}
+	}
+	if limit := bits.Len(top) + 1; regrowths > limit {
+		t.Errorf("module ramp to %d regrew the table %d times, want ≤ %d", top, regrowths, limit)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		for hi := 0; hi < top; hi += 4099 {
+			route(hi)
+		}
+	}); avg != 0 {
+		t.Errorf("RoutePhase allocates %.1f/op after the module ramp, want 0", avg)
+	}
+
+	st := NewStore(memmap.Generate(memmap.LemmaTwo(64, 2, 1), 11))
+	sized := NewCompleteBipartite()
+	NewEngine(st, sized, 64)
+	sized.RoutePhase([]Attempt{{Proc: 0, Module: 0}})
+	if got, want := len(sized.stamp), st.Map().Modules(); got != want {
+		t.Errorf("an engine's first phase sized the module table to %d, want the store's %d modules", got, want)
 	}
 }

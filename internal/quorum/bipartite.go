@@ -12,8 +12,10 @@ import (
 // (1 in the classical models).
 //
 // RoutePhase is allocation-free and sort-free in steady state: per-module
-// arbitration uses a phase-stamped load table indexed by module id (grown
-// lazily to the highest module seen, i.e. O(M) like the machine itself).
+// arbitration uses a phase-stamped load table indexed by module id, sized
+// on the first phase to the module count of the store an Engine runs it
+// over (O(M) like the machine itself) and grown geometrically for direct
+// callers.
 // Attempts are processed in ascending processor order — the order the
 // engine schedules them in — so the first Bandwidth attempts seen per
 // module are exactly the lowest-processor ones; unsorted callers are
@@ -28,6 +30,7 @@ type CompleteBipartite struct {
 
 	granted []bool
 	order   []int32
+	modules int     // module count of the engine's store; sizes the tables
 	phase   int64   // stamp: current RoutePhase invocation
 	stamp   []int64 // per-module: last phase that touched it
 	load    []int32 // per-module: attempts seen this phase
@@ -74,11 +77,17 @@ func (cb *CompleteBipartite) RoutePhase(attempts []Attempt) ([]bool, int64, int)
 			sorted = false
 		}
 	}
-	if cap(cb.stamp) <= maxModule {
-		cb.stamp = make([]int64, maxModule+1)
-		cb.load = make([]int32, maxModule+1)
+	if len(cb.stamp) <= maxModule {
+		// An engine's interconnect knows its store's module count
+		// (NewEngine), so its first phase sizes the tables for good; a
+		// direct caller grows them geometrically, so a rising module-id
+		// ramp settles after O(log M) regrowths instead of one per new
+		// maximum. Fresh stamps are zero, which no phase ever matches.
+		n := max(2*len(cb.stamp), maxModule+1, cb.modules)
+		cb.stamp = make([]int64, n)
+		cb.load = make([]int32, n)
 	}
-	stamp, load := cb.stamp[:maxModule+1], cb.load[:maxModule+1]
+	stamp, load := cb.stamp, cb.load
 	maxLoad := 0
 	serve := func(i int) {
 		a := attempts[i]

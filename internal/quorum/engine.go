@@ -121,6 +121,9 @@ type engineScratch struct {
 func NewEngine(store *Store, net Interconnect, n int) *Engine {
 	p := store.Map().P
 	r := p.R()
+	if cb, ok := net.(*CompleteBipartite); ok {
+		cb.modules = store.Map().Modules()
+	}
 	return &Engine{
 		store:    store,
 		net:      net,

@@ -1235,27 +1235,27 @@ func (s *Server) Close() {
 
 // TenantStats is one tenant's serving account.
 type TenantStats struct {
-	Name      string
-	Band      int
-	Shard     int
-	Procs     int
-	Done      bool
-	Submitted int64 // step credits offered by the arrival process
-	Rejected  int64 // credits refused by the bounded queue
-	Unserved  int64 // credits admitted but voided by source exhaustion
-	Steps     int64 // steps executed
+	Name       string
+	Band       int
+	Shard      int
+	Procs      int
+	Done       bool
+	Submitted  int64 // step credits offered by the arrival process
+	Rejected   int64 // credits refused by the bounded queue
+	Unserved   int64 // credits admitted but voided by source exhaustion
+	Steps      int64 // steps executed
 	Queue      int   // current queue depth (credits)
 	MaxQueue   int   // high-water queue depth
 	SimTime    int64 // summed simulated step time
 	QuorumTime int64 // retrieval-leg share of SimTime (QuorumTime+CommitTime == SimTime)
 	CommitTime int64 // update-leg share of SimTime
 	Phases     int64
-	Copies    int64
-	Cycles    int64
-	MaxCont   int
-	ErrSteps  int64  // steps whose report carried a conflict-discipline error
-	Hash      uint64 // FNV-1a over the tenant's StepReport stream
-	SrcErr    error
+	Copies     int64
+	Cycles     int64
+	MaxCont    int
+	ErrSteps   int64  // steps whose report carried a conflict-discipline error
+	Hash       uint64 // FNV-1a over the tenant's StepReport stream
+	SrcErr     error
 }
 
 // NumTenants returns the mix size.
