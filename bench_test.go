@@ -5,17 +5,19 @@
 //
 // The E-family benchmarks measure SIMULATOR throughput (wall time per
 // simulated P-RAM step); the simulated-time results themselves are
-// regenerated by `go run ./cmd/experiments`.
+// regenerated by `go run ./cmd/experiments`. Every point the BENCH_*.json
+// snapshots track is defined once, in internal/benchsuite: the one-line
+// wrappers below run its families under their `-bench` names, and
+// cmd/bench runs the same table for the snapshot. The rest (E1, E2,
+// E6–E8, ablations, program runs) are measured here only.
 package pramsim_test
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"math/rand"
 	"testing"
 
 	pramsim "repro"
+	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gf"
@@ -23,25 +25,11 @@ import (
 	"repro/internal/ida"
 	"repro/internal/lowerbound"
 	"repro/internal/memmap"
-	"repro/internal/model"
 	"repro/internal/mot"
-	"repro/internal/mpc"
 	"repro/internal/quorum"
-	"repro/internal/replay"
-	"repro/internal/serve"
 	"repro/internal/vlsi"
 	"repro/internal/workloads"
 )
-
-// permBatch builds the canonical full permutation read step.
-func permBatch(n int, seed int64) model.Batch {
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	batch := model.NewBatch(n)
-	for i := 0; i < n; i++ {
-		batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: perm[i]}
-	}
-	return batch
-}
 
 // --- E1: Theorem 1 lower bound -----------------------------------------
 
@@ -76,310 +64,30 @@ func BenchmarkE2ExpansionAudit(b *testing.B) {
 	}
 }
 
-// --- E3: Theorem 2, DMMPC step ------------------------------------------
+// --- snapshot families (defined in internal/benchsuite) -------------------
 
-func BenchmarkE3DMMPCStep(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			dm := core.NewDMMPC(n, core.Config{})
-			batch := permBatch(n, 5)
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := dm.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// --- E4: UW'87 MPC baseline step ----------------------------------------
-
-func BenchmarkE4MPCStep(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := mpc.New(n, mpc.Config{})
-			batch := permBatch(n, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := m.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// --- E5: Theorem 3, 2DMOT step (and the Luccio'90 baseline) --------------
-
-func BenchmarkE5MOT2DStep(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			mt := core.NewMOT2D(n, core.MOTConfig{})
-			batch := permBatch(n, 5)
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := mt.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE5MOT2DStepSerial is E5 at production sizes: the n=1024 and
-// n=4096 steps on the 16384-side grid (the 32-bit dense-edge ceiling).
-// K=1.5 keeps the memory map light and δ pins the side. Both points must
-// hold the zero-alloc steady state.
-func BenchmarkE5MOT2DStepSerial(b *testing.B) {
-	cfgs := []struct {
-		n     int
-		delta float64
-	}{{1024, 1.8}, {4096, 1.333}}
-	for _, c := range cfgs {
-		mt := core.NewMOT2D(c.n, core.MOTConfig{K: 1.5, Delta: c.delta})
-		batch := permBatch(c.n, 5)
-		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := mt.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE5LuccioStep(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			lu := core.NewLuccio(n, core.MOTConfig{})
-			batch := permBatch(n, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := lu.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// --- E12: multi-engine pool serving K programs concurrently ---------------
-
-// BenchmarkE12PoolStep: the same aggregate workload (nTotal processors,
-// one band-local permutation read each) served as K independent programs
-// by K concurrent engines over one banded, module-sharded memory image.
-// Execution is bit-for-bit identical at every K (pool differential tests);
-// the sweep isolates serving throughput. cmd/bench runs the production
-// n=1024 family; here a lighter point guards the path (and its
-// zero-alloc steady state) in the CI bench smoke.
-func BenchmarkE12PoolStep(b *testing.B) {
-	const nTotal = 256
-	for _, K := range []int{1, 4} {
-		b.Run(fmt.Sprintf("n=%d/K=%d", nTotal, K), func(b *testing.B) {
-			dp := core.NewDMMPCPool(nTotal/K, core.Config{Engines: K})
-			mem := dp.Store().Map().Vars()
-			batches := make([]model.Batch, K)
-			for sh := range batches {
-				lo, _ := memmap.BandRange(sh, mem, K)
-				n := dp.ShardProcs()
-				perm := rand.New(rand.NewSource(int64(sh) + 5)).Perm(n)
-				batch := model.NewBatch(n)
-				for i := 0; i < n; i++ {
-					batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: lo + perm[i]}
-				}
-				batches[sh] = batch
-			}
-			// One untimed step sizes the engines' batch scratch, so the
-			// timed loop reports the steady state alone.
-			if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {
-				b.Fatal(agg.Err)
-			}
-			b.ReportAllocs() // steady state must stay at 0 allocs/op and 0 B/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {
-					b.Fatal(agg.Err)
-				}
-			}
-		})
-	}
-}
-
-// --- E13: trace replay straight into the engine ---------------------------
-
-// BenchmarkE13ReplayStep: one replayed step — trace-frame decode plus
-// ExecuteDedupStep, rewinding the in-memory trace at end of file — on an
-// E5-shape machine. cmd/bench runs the production n ∈ {1024, 4096} family
-// with the live-step comparison; this lighter point guards the replay read
-// path (and its zero-alloc steady state) in the CI bench smoke.
-func BenchmarkE13ReplayStep(b *testing.B) {
-	const n, steps = 256, 4
-	cfg := replay.Config{Kind: replay.KindMOT2D, Lanes: 1, Procs: n, Mode: model.CRCWPriority}
-	built, err := cfg.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := replay.NewRecorder(&buf, built)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := permBatch(n, 5)
-	for s := 0; s < steps; s++ {
-		if rep := built.Machine.ExecuteStep(batch); rep.Err != nil {
-			b.Fatal(rep.Err)
-		}
-	}
-	if err := rec.Close(); err != nil {
-		b.Fatal(err)
-	}
-	rd := bytes.NewReader(buf.Bytes())
-	rp, err := replay.Open(rd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	step := func() {
-		for {
-			executed, err := rp.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if executed {
-				return
-			}
-			rd.Seek(0, io.SeekStart)
-			if err := rp.Reset(rd); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for i := 0; i < steps+1; i++ { // warm arenas across a rewind
-		step()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-}
-
-// --- E14: multi-tenant serving rounds ------------------------------------
-
-// BenchmarkE14ServeStep: one steady-state serving round of the
-// internal/serve front end — admission, band-aware scheduling, generator
-// fill, pool round, accounting — on a small closed-loop banded mix.
-// cmd/bench runs the production T=8/K-sweep family; this point guards the
-// serving hot path (and its zero-alloc steady state) in the CI bench
-// smoke.
-func BenchmarkE14ServeStep(b *testing.B) {
-	const tenants, procs = 2, 32
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
-		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
-		}
-	}
-}
-
-// BenchmarkE14ServeStepMOT2D: the same steady-state serving round with
-// per-shard 2DMOT meshes behind the pool (2 × 64 procs → a 512-side grid
-// per engine) — guards the mesh-backed serving hot path and its zero-alloc
-// steady state in the CI bench smoke.
-func BenchmarkE14ServeStepMOT2D(b *testing.B) {
-	const tenants, procs = 2, 64
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, Interconnect: serve.MOT2D}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
-		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
-		}
-	}
-}
-
-// BenchmarkE14ServeStepSpans: the same steady-state serving round with a
-// deliberately tiny span ring (depth 64), so every round overwrites —
-// proving span recording rides the hot path at 0 allocs/op and within
-// the sub-5% overhead budget against BenchmarkE14ServeStep.
-func BenchmarkE14ServeStepSpans(b *testing.B) {
-	const tenants, procs = 2, 32
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, SpanDepth: 64}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
-		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
-		}
-	}
-	b.StopTimer()
-	if s.Spans().Dropped() == 0 {
-		b.Fatal("span ring never wrapped — depth 64 no longer exercises the overwrite path")
-	}
-}
+func BenchmarkE3DMMPCStep(b *testing.B)        { benchsuite.Run(b, "E3DMMPCStep") }
+func BenchmarkE4MPCStep(b *testing.B)          { benchsuite.Run(b, "E4MPCStep") }
+func BenchmarkE5MOT2DStep(b *testing.B)        { benchsuite.Run(b, "E5MOT2DStep") }
+func BenchmarkE5MOT2DStepSerial(b *testing.B)  { benchsuite.Run(b, "E5MOT2DStepSerial") }
+func BenchmarkE5LuccioStep(b *testing.B)       { benchsuite.Run(b, "E5LuccioStep") }
+func BenchmarkE12PoolStep(b *testing.B)        { benchsuite.Run(b, "E12PoolStep") }
+func BenchmarkE12PoolStepSerial(b *testing.B)  { benchsuite.Run(b, "E12PoolStepSerial") }
+func BenchmarkE13LiveStep(b *testing.B)        { benchsuite.Run(b, "E13LiveStep") }
+func BenchmarkE13ReplayStep(b *testing.B)      { benchsuite.Run(b, "E13ReplayStep") }
+func BenchmarkE14ServeStep(b *testing.B)       { benchsuite.Run(b, "E14ServeStep") }
+func BenchmarkE14ServeStepSpans(b *testing.B)  { benchsuite.Run(b, "E14ServeStepSpans") }
+func BenchmarkE14ServeStepMOT2D(b *testing.B)  { benchsuite.Run(b, "E14ServeStepMOT2D") }
+func BenchmarkE14ServeThroughput(b *testing.B) { benchsuite.Run(b, "E14ServeThroughput") }
+func BenchmarkQuorumWriteBatch(b *testing.B)   { benchsuite.Run(b, "QuorumWriteBatch") }
+func BenchmarkMOTNetworkPhase(b *testing.B)    { benchsuite.Run(b, "MOTNetworkPhase") }
 
 // --- E6: cross-scheme comparison (hashing both regimes) ------------------
 
 func BenchmarkE6HashedRandomStep(b *testing.B) {
 	const n = 256
 	hm := hashsim.New(n, hashsim.Config{})
-	batch := permBatch(n, 5)
+	batch := benchsuite.PermBatch(n, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hm.ExecuteStep(batch)
@@ -402,7 +110,7 @@ func BenchmarkE7IDAReadStep(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			mem := ida.NewMemory(n, ida.Config{MemCells: 4096})
-			batch := permBatch(n, 5)
+			batch := benchsuite.PermBatch(n, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mem.ExecuteStep(batch)
@@ -454,38 +162,6 @@ func BenchmarkMemmapGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkQuorumWriteBatch(b *testing.B) {
-	const n = 256
-	p := memmap.LemmaTwo(n, 2, 1)
-	st := quorum.NewStore(memmap.Generate(p, 11))
-	eng := quorum.NewEngine(st, quorum.NewCompleteBipartite(), n)
-	reqs := make([]quorum.Request, n)
-	for i := range reqs {
-		reqs[i] = quorum.Request{Proc: i, Var: i, Write: true, Value: 1}
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.ExecuteBatch(reqs)
-		if res.Stalled {
-			b.Fatal("stalled")
-		}
-	}
-}
-
-func BenchmarkMOTNetworkPhase(b *testing.B) {
-	nw := mot.NewNetwork(1024, mot.ModulesAtLeaves, mot.Config{})
-	attempts := make([]quorum.Attempt, 256)
-	for i := range attempts {
-		attempts[i] = quorum.Attempt{Proc: i, Module: (i * 37) % 1024, Var: i, Copy: 0}
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.RoutePhase(attempts)
-	}
-}
-
 func BenchmarkGFInterpolation(b *testing.B) {
 	xs := make(gf.Vec, 16)
 	ys := make(gf.Vec, 16)
@@ -532,7 +208,7 @@ func BenchmarkAblationMOTPolicy(b *testing.B) {
 	}{{"drop", mot.DropOnCollision}, {"queue", mot.QueueOnCollision}} {
 		b.Run(pol.name, func(b *testing.B) {
 			mt := core.NewMOT2D(64, core.MOTConfig{Policy: pol.p})
-			batch := permBatch(64, 5)
+			batch := benchsuite.PermBatch(64, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mt.ExecuteStep(batch)
@@ -550,7 +226,7 @@ func BenchmarkAblationDualRail(b *testing.B) {
 	}{{"single", false}, {"dual", true}} {
 		b.Run(dr.name, func(b *testing.B) {
 			mt := core.NewMOT2D(64, core.MOTConfig{DualRail: dr.on})
-			batch := permBatch(64, 5)
+			batch := benchsuite.PermBatch(64, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mt.ExecuteStep(batch)
@@ -616,7 +292,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	}{{"roundrobin", false}, {"twostage", true}} {
 		b.Run(ts.name, func(b *testing.B) {
 			dm := core.NewDMMPC(256, core.Config{TwoStage: ts.on})
-			batch := permBatch(256, 5)
+			batch := benchsuite.PermBatch(256, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if rep := dm.ExecuteStep(batch); rep.Err != nil {

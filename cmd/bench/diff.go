@@ -94,8 +94,10 @@ func speedScale(old, cur Snapshot) float64 {
 
 // compareSnapshots diffs the ZERO-ALLOC benchmark set — the hot paths the
 // repo guarantees stay allocation-free — between two snapshots. A
-// benchmark regresses when its allocs/op leave zero or its ns/op grows by
-// more than threshold (e.g. 0.10 = 10%). Benchmarks present in only one
+// benchmark regresses when its allocs/op or B/op leave zero or its ns/op
+// grows by more than threshold (e.g. 0.10 = 10%). B/op counts on its own:
+// a few large allocations spread over many iterations round allocs/op
+// down to 0 but still show as bytes. Benchmarks present in only one
 // snapshot are skipped: machines differ across snapshots, but a tracked
 // benchmark suddenly slower by >threshold on the SAME file lineage is the
 // signal ROADMAP lane 4 wants CI to catch.
@@ -107,7 +109,7 @@ func speedScale(old, cur Snapshot) float64 {
 // count, GOMAXPROCS, or one side lacking the calibration anchor — ns/op
 // growth is returned as a warning instead of a regression: wall clock
 // measured on incomparable hosts is advisory. Alloc regressions stay hard
-// in every regime: allocs/op is host-independent.
+// in every regime: allocs/op and B/op are host-independent.
 func compareSnapshots(old, cur Snapshot, threshold float64) (regressions, warnings []string, compared int) {
 	drift := hostDrift(old, cur)
 	scale := speedScale(old, cur)
@@ -124,6 +126,10 @@ func compareSnapshots(old, cur Snapshot, threshold float64) (regressions, warnin
 		if r.AllocsPerOp != 0 {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: allocs/op regressed 0 -> %d", r.Name, r.AllocsPerOp))
+		}
+		if prev.BytesPerOp == 0 && r.BytesPerOp > 0 {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: B/op regressed 0 -> %d", r.Name, r.BytesPerOp))
 		}
 		adjusted := r.NsPerOp / scale
 		if limit := prev.NsPerOp * (1 + threshold); adjusted > limit {

@@ -31,30 +31,35 @@ func TestCompareSnapshots(t *testing.T) {
 		{Name: "E3DMMPCStep/n=1024", NsPerOp: 1000, AllocsPerOp: 0},
 		{Name: "E5MOT2DStep/n=256", NsPerOp: 2000, AllocsPerOp: 0},
 		{Name: "MOTNetworkPhase/side=1024", NsPerOp: 500, AllocsPerOp: 0},
+		{Name: "E12PoolStep/n=256/K=4", NsPerOp: 700, AllocsPerOp: 0},
 		{Name: "E4MPCStep/n=256", NsPerOp: 900, AllocsPerOp: 12}, // not zero-alloc: ignored
 	}}
 	cur := Snapshot{Results: []Result{
 		{Name: "E3DMMPCStep/n=1024", NsPerOp: 1099, AllocsPerOp: 0},       // +9.9%: within threshold
 		{Name: "E5MOT2DStep/n=256", NsPerOp: 2500, AllocsPerOp: 0},        // +25%: regression
 		{Name: "MOTNetworkPhase/side=1024", NsPerOp: 450, AllocsPerOp: 3}, // allocs appeared
+		{Name: "E12PoolStep/n=256/K=4", NsPerOp: 700, BytesPerOp: 329},    // bytes appeared, allocs round to 0
 		{Name: "E4MPCStep/n=256", NsPerOp: 5000, AllocsPerOp: 12},
 		{Name: "Brand/new", NsPerOp: 1, AllocsPerOp: 0}, // no baseline: ignored
 	}}
 	regs, warns, compared := compareSnapshots(old, cur, 0.10)
-	if compared != 3 {
-		t.Errorf("compared %d zero-alloc benchmarks, want 3", compared)
+	if compared != 4 {
+		t.Errorf("compared %d zero-alloc benchmarks, want 4", compared)
 	}
 	if len(warns) != 0 {
 		t.Errorf("same-host comparison produced warnings: %v", warns)
 	}
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2: %v", len(regs), regs)
+	if len(regs) != 3 {
+		t.Fatalf("got %d regressions, want 3: %v", len(regs), regs)
 	}
 	if !strings.Contains(regs[0], "E5MOT2DStep/n=256") || !strings.Contains(regs[0], "ns/op") {
 		t.Errorf("first regression should be the E5 ns/op blowup, got %q", regs[0])
 	}
 	if !strings.Contains(regs[1], "MOTNetworkPhase/side=1024") || !strings.Contains(regs[1], "allocs/op") {
 		t.Errorf("second regression should be the alloc leak, got %q", regs[1])
+	}
+	if !strings.Contains(regs[2], "E12PoolStep/n=256/K=4") || !strings.Contains(regs[2], "B/op regressed 0 -> 329") {
+		t.Errorf("third regression should be the hidden byte growth, got %q", regs[2])
 	}
 }
 
@@ -155,6 +160,15 @@ func TestCompareSnapshotsCalibration(t *testing.T) {
 func TestRunDiffHostDriftFixtures(t *testing.T) {
 	if code := runDiff(filepath.Join("testdata", "hostdrift"), 0.10); code != 0 {
 		t.Errorf("runDiff over host-drift fixtures = %d, want 0 (ns/op advisory)", code)
+	}
+}
+
+// TestRunDiffByteGrowthFixtures runs -diff over a same-host fixture pair
+// whose newer snapshot shows B/op leaving zero while allocs/op still
+// rounds to 0 and ns/op stays within the threshold: the gate must fail.
+func TestRunDiffByteGrowthFixtures(t *testing.T) {
+	if code := runDiff(filepath.Join("testdata", "bytegrowth"), 0.10); code != 1 {
+		t.Errorf("runDiff over B/op-growth fixtures = %d, want exit code 1", code)
 	}
 }
 

@@ -118,6 +118,7 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 		return f
 	}
 	sf := &sharedFlags{
+		verbose:      verbose,
 		procs:        num("n", 64),
 		engines:      num("engines", 1),
 		workers:      num("workers", 0),
@@ -138,10 +139,6 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	if tenants == "" {
 		return serve.Config{}, fmt.Errorf("script meta has no tenants spec — not recorded by `serve http`?")
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return serve.Config{}, err
-	}
 	arr, err := parseArrival(str("arrival", "external"))
 	if err != nil {
 		return serve.Config{}, err
@@ -150,17 +147,7 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	if err != nil {
 		return serve.Config{}, err
 	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
-		return serve.Config{}, err
-	}
-	if verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
-	}
-	return cfg, nil
+	return sf.config(tcs)
 }
 
 // metaValue extracts one key's value from a script meta line ("" if the
@@ -239,10 +226,6 @@ func cmdHTTP(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return err
-	}
 	arr, err := parseArrival(*arrival)
 	if err != nil {
 		return err
@@ -251,17 +234,11 @@ func cmdHTTP(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
+	cfg, err := sf.config(tcs)
+	if err != nil {
 		return err
 	}
 	logf := log.New(os.Stderr, "serve: ", 0).Printf
-	if sf.verbose {
-		cfg.Logf = logf
-	}
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		return err

@@ -28,15 +28,10 @@ func TestLiveFlightReplaysBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := serve.Config{Tenants: tcs, Engines: sf.engines, Mode: 1, Seed: sf.seed, QueueCap: sf.queue}
-	if err := sf.applyShared(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	mode, err := parseMode(sf.mode)
+	cfg, err := sf.config(tcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mode = mode
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -166,18 +166,28 @@ func addShared(fs *flag.FlagSet) *sharedFlags {
 	return sf
 }
 
-// applyShared folds the interconnect knobs into a serve.Config.
-func (sf *sharedFlags) applyShared(cfg *serve.Config) error {
+// config builds the serve.Config every verb shares from the flags: the
+// tenants, conflict mode, pool shape, interconnect knobs and, with -v,
+// the degradation log.
+func (sf *sharedFlags) config(tenants []serve.TenantConfig) (serve.Config, error) {
+	mode, err := parseMode(sf.mode)
+	if err != nil {
+		return serve.Config{}, err
+	}
 	ic, err := serve.ParseInterconnect(sf.interconnect)
 	if err != nil {
-		return err
+		return serve.Config{}, err
 	}
-	cfg.Interconnect = ic
-	cfg.KExp = sf.kexp
-	cfg.Gran = sf.gran
-	cfg.DualRail = sf.dualRail
-	cfg.AllowTraceKindMismatch = sf.allowKind
-	return nil
+	cfg := serve.Config{
+		Tenants: tenants, Engines: sf.engines, Workers: sf.workers,
+		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
+		Interconnect: ic, KExp: sf.kexp, Gran: sf.gran, DualRail: sf.dualRail,
+		AllowTraceKindMismatch: sf.allowKind,
+	}
+	if sf.verbose {
+		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
+	}
+	return cfg, nil
 }
 
 // parseMode maps the CLI spelling. EREW is not offered: the serving front
@@ -429,10 +439,6 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return err
-	}
 	arr, err := parseArrival(*arrival)
 	if err != nil {
 		return err
@@ -442,17 +448,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return serve.Config{}, err
 		}
-		cfg := serve.Config{
-			Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
-			Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-		}
-		if err := sf.applyShared(&cfg); err != nil {
-			return serve.Config{}, err
-		}
-		if sf.verbose {
-			cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
-		}
-		return cfg, nil
+		return sf.config(tcs)
 	}
 	cfg, err := mk()
 	if err != nil {
@@ -508,7 +504,7 @@ func cmdLoadgen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
+	cfg, err := sf.config(nil)
 	if err != nil {
 		return err
 	}
@@ -533,16 +529,6 @@ func cmdLoadgen(args []string) error {
 		if pat, err = replay.ParsePattern(*pattern); err != nil {
 			return err
 		}
-	}
-	cfg := serve.Config{
-		Engines: sf.engines, Workers: sf.workers,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
-		return err
-	}
-	if sf.verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
 	}
 	for i := 0; i < *tenants; i++ {
 		tc := serve.TenantConfig{

@@ -11,10 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-
-	"repro/internal/serve"
 )
 
 func cmdSpans(args []string) error {
@@ -27,10 +24,6 @@ func cmdSpans(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return err
-	}
 	arr, err := parseArrival(*arrival)
 	if err != nil {
 		return err
@@ -39,15 +32,9 @@ func cmdSpans(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
+	cfg, err := sf.config(tcs)
+	if err != nil {
 		return err
-	}
-	if sf.verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
 	}
 	o, err := execute(cfg, sf.rounds)
 	if err != nil {

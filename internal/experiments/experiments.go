@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction harness: one runner per
 // experiment in DESIGN.md §4 (E1–E8), each regenerating the table that
 // operationalizes one of the paper's claims. The cmd/experiments CLI prints
-// them; the root bench_test.go wraps them in testing.B benchmarks; their
+// them and the root bench_test.go smoke-runs two of them; the wall-clock
+// benchmarks of the same machines live in internal/benchsuite. Their
 // recorded outputs live in EXPERIMENTS.md.
 package experiments
 

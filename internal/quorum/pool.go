@@ -290,21 +290,6 @@ func (p *Pool) Close() {
 	}
 }
 
-// SetWorkers reconfigures the executor goroutine count (same encoding as
-// PoolConfig.Workers). Must not be called concurrently with ExecuteSteps.
-// Execution stays bit-for-bit identical at every setting.
-func (p *Pool) SetWorkers(w int) {
-	w = resolveWorkers(w, p.k)
-	if w == p.par {
-		return
-	}
-	if p.workers != nil {
-		p.workers.shutdown()
-		p.workers = nil
-	}
-	p.par = w
-}
-
 // Resize reconfigures the pool to k workload shards ONLINE, between
 // rounds: growing appends fresh machines (identical construction to the
 // originals — same store, same per-shard interconnect factory, same mode
@@ -643,8 +628,8 @@ func (w *poolWorkers) drain() {
 }
 
 // shutdown retires the background goroutines; safe to call twice (a worker
-// set replaced by SetWorkers is shut down eagerly, and the Pool's runtime
-// cleanup fires for it again at collection time).
+// set retired by Close or Resize is shut down eagerly, and the Pool's
+// runtime cleanup fires for it again at collection time).
 func (w *poolWorkers) shutdown() {
 	w.stopOnce.Do(func() { close(w.stop) })
 }

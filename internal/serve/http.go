@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -182,10 +183,19 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the registry between rounds.
 func (h *HTTPServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	h.serveRendered(w, "text/plain; version=0.0.4", func(buf *bytes.Buffer) { h.reg.WriteTo(buf) })
+}
+
+// serveRendered renders a between-rounds view into memory under the lock,
+// then sends it unlocked: a client that reads slowly (or not at all)
+// stalls only its own handler, never the round loop.
+func (h *HTTPServer) serveRendered(w http.ResponseWriter, contentType string, render func(*bytes.Buffer)) {
+	var buf bytes.Buffer
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	h.reg.WriteTo(w)
+	render(&buf)
+	h.mu.Unlock()
+	w.Header().Set("Content-Type", contentType)
+	w.Write(buf.Bytes()) // a failed write means the client left; nothing to report
 }
 
 // debugQuery enforces the /debug/* read contract shared by the flight
@@ -221,10 +231,7 @@ func (h *HTTPServer) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	h.s.WriteFlightTail(w, limit)
+	h.serveRendered(w, "application/json", func(buf *bytes.Buffer) { h.s.WriteFlightTail(buf, limit) })
 }
 
 // handleSpans dumps the span recorder between rounds: the most recent
@@ -237,10 +244,7 @@ func (h *HTTPServer) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	h.s.WriteSpansTail(w, limit)
+	h.serveRendered(w, "application/json", func(buf *bytes.Buffer) { h.s.WriteSpansTail(buf, limit) })
 }
 
 // handleHealthz flips to 503 once admission stops, so load balancers stop

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/replay"
 )
@@ -138,6 +140,59 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 		t.Errorf("denied submit leaked into accounting: submitted=%d, want 2", st.Submitted)
 	}
 	checkIdentity(t, s, "after shutdown")
+}
+
+// stalledWriter is a ResponseWriter whose client never reads: Write
+// announces itself on entered and then blocks until release closes.
+type stalledWriter struct {
+	header   http.Header
+	entered  chan struct{}
+	release  chan struct{}
+	announce sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.announce.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestHTTPSlowReaderDoesNotStallTick: a scrape or dump whose client stops
+// reading parks its handler in Write. The round loop must keep ticking
+// meanwhile: views are rendered under the lock and sent after it is
+// released.
+func TestHTTPSlowReaderDoesNotStallTick(t *testing.T) {
+	s, err := NewServer(externalPair())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := NewHTTPServer(s, HTTPOptions{})
+	handler := h.Handler()
+	for _, path := range []string{"/metrics", "/debug/flight", "/debug/spans"} {
+		w := &stalledWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		}()
+		<-w.entered
+		ticked := make(chan struct{})
+		go func() {
+			h.Tick()
+			close(ticked)
+		}()
+		select {
+		case <-ticked:
+		case <-time.After(5 * time.Second):
+			t.Errorf("GET %s: Tick blocked behind a handler parked in Write", path)
+		}
+		close(w.release)
+		<-served
+		<-ticked
+	}
 }
 
 // TestHTTPFlightEndpoint: /debug/flight serves the server's flight dump —
